@@ -11,57 +11,29 @@ drives the pairs against each other.
 from .chow import (
     Bidegree,
     BidegreeSystem,
-    TruncatedBivariatePoly,
     intersection_number_fulton,
     intersection_number_ring,
 )
 from .core import (
     DqpParams,
-    FixedCycle,
-    LeNumberTable,
-    PolarMultiplicityTable,
     euler_obstruction_hypersurface,
     euler_obstruction_sigma1,
     le_numbers,
     milnor_sphere_dimension,
-    minimal_params,
     polar_multiplicities_sigma1,
     reduced_euler_characteristic,
-    validate_params,
-    verify_massey_identity,
 )
 from .errors import BudgetError, CheckError, DqpError, ValidationError
-from .ffcount import (
-    NormalFormSpec,
-    PointCountReport,
-    count_points,
-    counting_polynomial,
-    eval_normal_form,
-    predicted_count,
-)
+from .ffcount import NormalFormSpec, count_points, counting_polynomial
 from .integral_closure import (
     Monomial,
     MonomialIdeal,
-    WeightVector,
-    blowup_fiber_bound,
-    default_witnesses,
     in_integral_closure_facets,
     in_integral_closure_newton,
-    in_integral_closure_valuative,
     is_reduction,
-    power_ideal,
-    reduction_generator_count,
 )
-from .le_engine import (
-    LeSystemSpec,
-    SymbolicPolynomial,
-    build_le_system,
-    det_multiplicity,
-    generic_symmetric_det,
-    le_number_via_chow,
-    underlying_multiplicity_via_chow,
-)
-from .report import Check, Report
+from .le_engine import det_multiplicity, le_number_via_chow
+from .report import Report
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -70,50 +42,28 @@ __all__ = [
     "Bidegree",
     "BidegreeSystem",
     "BudgetError",
-    "Check",
     "CheckError",
     "DqpError",
     "DqpParams",
-    "FixedCycle",
-    "LeNumberTable",
-    "LeSystemSpec",
     "Monomial",
     "MonomialIdeal",
     "NormalFormSpec",
-    "PointCountReport",
-    "PolarMultiplicityTable",
     "Report",
-    "SymbolicPolynomial",
-    "TruncatedBivariatePoly",
     "ValidationError",
-    "WeightVector",
-    "blowup_fiber_bound",
-    "build_le_system",
     "count_points",
     "counting_polynomial",
-    "default_witnesses",
     "det_multiplicity",
     "euler_obstruction_hypersurface",
     "euler_obstruction_sigma1",
-    "eval_normal_form",
-    "generic_symmetric_det",
     "in_integral_closure_facets",
     "in_integral_closure_newton",
-    "in_integral_closure_valuative",
     "intersection_number_fulton",
     "intersection_number_ring",
     "is_reduction",
     "le_number_via_chow",
     "le_numbers",
     "milnor_sphere_dimension",
-    "minimal_params",
     "polar_multiplicities_sigma1",
-    "power_ideal",
-    "predicted_count",
     "reduced_euler_characteristic",
-    "reduction_generator_count",
     "run_verify",
-    "underlying_multiplicity_via_chow",
-    "validate_params",
-    "verify_massey_identity",
 ]

@@ -7,7 +7,7 @@ n + m such hypersurfaces is the coefficient of h^n k^m in the product of
 their classes.  Two independent algorithms compute it:
 
 * ``intersection_number_ring`` multiplies the classes one at a time into
-  a truncated coefficient array, O((n+1)(m+1)) per class;
+  a truncated coefficient array, O(n+1) per class;
 * ``intersection_number_fulton`` sums, over all splittings of the class
   list into an n-subset of a-factors and the complementary m-subset of
   b-factors, the product a_{i_1}..a_{i_n} * b_{j_1}..b_{j_m}.
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
     "Bidegree",
     "BidegreeSystem",
-    "TruncatedBivariatePoly",
     "intersection_number_ring",
     "intersection_number_fulton",
     "FULTON_SUBSET_LIMIT",
@@ -50,7 +49,7 @@ class Bidegree:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if not is_int(self.a) or not is_int(self.b):
             raise ValidationError(f"bidegree entries must be integers (got {self!r})")
         if self.a < 0 or self.b < 0:
             raise ValidationError(
@@ -69,6 +68,8 @@ class BidegreeSystem:
     classes: tuple[Bidegree, ...]
 
     def __post_init__(self):
+        if not is_int(self.ambient_n) or not is_int(self.ambient_m):
+            raise ValidationError(f"ambient dimensions must be integers (got {self!r})")
         if self.ambient_n < 0 or self.ambient_m < 0:
             raise ValidationError("ambient dimensions must be nonnegative")
         expected = self.ambient_n + self.ambient_m
@@ -79,49 +80,24 @@ class BidegreeSystem:
             )
 
 
-@dataclass(frozen=True)
-class TruncatedBivariatePoly:
-    """Element of Z[h, k] / (h^{n+1}, k^{m+1}) as an (n+1) x (m+1) array.
-
-    ``coeffs[u][v]`` is the coefficient of h^u k^v; powers beyond the
-    ambient dimensions are truncated away.
-    """
-
-    ambient_n: int
-    ambient_m: int
-    coeffs: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def unit(cls, ambient_n: int, ambient_m: int) -> TruncatedBivariatePoly:
-        rows = [[0] * (ambient_m + 1) for _ in range(ambient_n + 1)]
-        rows[0][0] = 1
-        return cls(ambient_n, ambient_m, tuple(tuple(r) for r in rows))
-
-    def multiply_class(self, a: int, b: int) -> TruncatedBivariatePoly:
-        """Multiply by a*h + b*k, truncating h^{n+1} and k^{m+1} to zero."""
-        n, m = self.ambient_n, self.ambient_m
-        rows = [[0] * (m + 1) for _ in range(n + 1)]
-        for u in range(n + 1):
-            for v in range(m + 1):
-                c = self.coeffs[u][v]
-                if c == 0:
-                    continue
-                if u + 1 <= n:
-                    rows[u + 1][v] += a * c
-                if v + 1 <= m:
-                    rows[u][v + 1] += b * c
-        return TruncatedBivariatePoly(n, m, tuple(tuple(r) for r in rows))
-
-    def coefficient(self, u: int, v: int) -> int:
-        return self.coeffs[u][v]
-
-
 def intersection_number_ring(system: BidegreeSystem) -> int:
-    """Coefficient of h^n k^m in the truncated product of the classes."""
-    poly = TruncatedBivariatePoly.unit(system.ambient_n, system.ambient_m)
-    for cls in system.classes:
-        poly = poly.multiply_class(cls.a, cls.b)
-    return poly.coefficient(system.ambient_n, system.ambient_m)
+    """Coefficient of h^n k^m in the truncated product of the classes.
+
+    A product of j classes is homogeneous of degree j, so after j
+    factors ``coeffs[u]`` holds the coefficient of h^u k^(j-u); terms
+    with j - u > m are truncated to zero.  Each class multiplies in
+    place, walking u downwards so every entry reads its neighbour before
+    it is overwritten.
+    """
+    n, m = system.ambient_n, system.ambient_m
+    coeffs = [1] + [0] * n
+    for j, cls in enumerate(system.classes, 1):
+        for u in range(min(j, n), -1, -1):
+            if j - u > m:
+                coeffs[u] = 0
+            else:
+                coeffs[u] = cls.b * coeffs[u] + (cls.a * coeffs[u - 1] if u else 0)
+    return coeffs[n]
 
 
 def intersection_number_fulton(system: BidegreeSystem) -> int:

@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 from . import chow, core, ffcount, integral_closure, le_engine, verify
 from .errors import BudgetError, CheckError, ValidationError
@@ -78,10 +79,10 @@ def cmd_invariants(args: argparse.Namespace) -> Report:
         )
     massey = core.verify_massey_identity(params)
     checks = [
-        Check(
-            name="massey-alternating-sum",
-            status="pass" if massey else "fail",
-            detail="signed Lê sum equals the reduced Euler characteristic",
+        Check.of(
+            "massey-alternating-sum",
+            massey,
+            "signed Lê sum equals the reduced Euler characteristic",
         )
     ]
     return Report(
@@ -110,17 +111,13 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
     fulton_checked: list[int] = []
     fulton_skipped: list[int] = []
     for i in indices:
-        spec = le_engine.build_le_system(p, i)
-        system = spec.system
+        system = le_engine.build_le_system(p, i)
         le_chow = le_engine.le_number_via_chow(p, i)
         mult_chow = le_engine.underlying_multiplicity_via_chow(p, i)
         dimension = params.q - i
         if le_chow != closed[dimension] or mult_chow != polar[dimension]:
             engine_bad.append(i)
-        class_counts: dict[tuple[int, int], int] = {}
-        for cls in system.classes:
-            key = (cls.a, cls.b)
-            class_counts[key] = class_counts.get(key, 0) + 1
+        class_counts = Counter((cls.a, cls.b) for cls in system.classes)
         if len(system.classes) <= chow.FULTON_SUBSET_LIMIT:
             fulton_checked.append(i)
             if chow.intersection_number_fulton(system) != mult_chow:
@@ -142,30 +139,27 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
             }
         )
     checks = [
-        Check(
-            name="engine-vs-closed-form",
-            status="pass" if not engine_bad else "fail",
-            detail=(
-                f"i = {', '.join(map(str, indices))}"
-                if not engine_bad
-                else f"disagreeing i: {engine_bad}"
-            ),
+        Check.of(
+            "engine-vs-closed-form",
+            not engine_bad,
+            f"i = {', '.join(map(str, indices))}",
+            f"disagreeing i: {engine_bad}",
         )
     ]
-    if fulton_checked or fulton_skipped:
-        detail = f"cross-checked i = {', '.join(map(str, fulton_checked)) or 'none'}"
-        if fulton_skipped:
-            detail += (
-                f"; skipped i = {', '.join(map(str, fulton_skipped))} "
-                f"(class count exceeds subset budget {chow.FULTON_SUBSET_LIMIT})"
-            )
-        checks.append(
-            Check(
-                name="ring-vs-subset-sum",
-                status="pass" if not fulton_bad else "fail",
-                detail=detail if not fulton_bad else f"disagreeing i: {fulton_bad}",
-            )
+    detail = f"cross-checked i = {', '.join(map(str, fulton_checked)) or 'none'}"
+    if fulton_skipped:
+        detail += (
+            f"; skipped i = {', '.join(map(str, fulton_skipped))} "
+            f"(class count exceeds subset budget {chow.FULTON_SUBSET_LIMIT})"
         )
+    checks.append(
+        Check.of(
+            "ring-vs-subset-sum",
+            not fulton_bad,
+            detail,
+            f"disagreeing i: {fulton_bad}",
+        )
+    )
     return Report(
         command="lecycles",
         inputs={"p": p, "i": args.i},
@@ -211,16 +205,12 @@ def cmd_chow(args: argparse.Namespace) -> Report:
     if args.algorithm in ("fulton", "both"):
         results["fulton"] = chow.intersection_number_fulton(system)
     if args.algorithm == "both":
-        agree = results["ring"] == results["fulton"]
         checks.append(
-            Check(
-                name="ring-vs-subset-sum",
-                status="pass" if agree else "fail",
-                detail=(
-                    "both algorithms agree"
-                    if agree
-                    else f"ring {results['ring']} != subset-sum {results['fulton']}"
-                ),
+            Check.of(
+                "ring-vs-subset-sum",
+                results["ring"] == results["fulton"],
+                "both algorithms agree",
+                f"ring {results['ring']} != subset-sum {results['fulton']}",
             )
         )
         results["intersection_number"] = results["ring"]
@@ -340,20 +330,20 @@ def cmd_closure(args: argparse.Namespace) -> Report:
         battery = integral_closure.in_integral_closure_valuative(ideal, m, witnesses)
         results["witness_battery"] = battery
         checks.append(
-            Check(
-                name="witness-refutation-soundness",
-                status="pass" if (not member or battery) else "fail",
-                detail="finite curve battery cannot refute a Newton member",
+            Check.of(
+                "witness-refutation-soundness",
+                not member or battery,
+                "finite curve battery cannot refute a Newton member",
             )
         )
         if variable_count <= integral_closure.FACET_VARIABLE_LIMIT:
             facets = integral_closure.in_integral_closure_facets(ideal, m)
             results["facet_route"] = facets
             checks.append(
-                Check(
-                    name="newton-vs-facet-enumeration",
-                    status="pass" if facets == member else "fail",
-                    detail="both membership routes agree",
+                Check.of(
+                    "newton-vs-facet-enumeration",
+                    facets == member,
+                    "both membership routes agree",
                 )
             )
     else:
@@ -389,15 +379,12 @@ def cmd_count(args: argparse.Namespace) -> Report:
         spec, args.prime, target=args.target, budget=budget, jobs=jobs
     )
     checks = [
-        Check(
-            name="observed-equals-predicted",
-            status="pass" if report.agree else "fail",
-            detail=(
-                "exhaustive count matches the fibration prediction"
-                if report.agree
-                else f"observed {report.observed_count} != predicted "
-                f"{report.predicted_count}"
-            ),
+        Check.of(
+            "observed-equals-predicted",
+            report.agree,
+            "exhaustive count matches the fibration prediction",
+            f"observed {report.observed_count} != predicted "
+            f"{report.predicted_count}",
         )
     ]
     return Report(
@@ -407,7 +394,7 @@ def cmd_count(args: argparse.Namespace) -> Report:
             "q1": args.q1,
             "prime": args.prime,
             "target": args.target,
-            "jobs": jobs,
+            "jobs": args.jobs,
         },
         results={
             "n": spec.n,
@@ -518,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker threads (default: available cores); the count is identical "
-        "for every value",
+        help="worker threads, capped at the available cores (default: all of "
+        "them); the count is identical for every value",
     )
     p_count.set_defaults(handler=cmd_count)
 
@@ -542,14 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report.render_json()
-    if fmt == "csv":
-        return report.render_csv()
-    return report.render_table()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -564,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    text = _render(report, args.format)
+    text = getattr(report, f"render_{args.format}")()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

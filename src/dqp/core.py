@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CheckError, ValidationError
+from .errors import CheckError, ValidationError, is_int
 
 __all__ = [
     "DqpParams",
@@ -76,7 +76,7 @@ class DqpParams:
 
     def __post_init__(self):
         for name, value in (("n", self.n), ("q", self.q), ("p", self.p)):
-            if not isinstance(value, int):
+            if not is_int(value):
                 raise ValidationError(f"{name} must be an integer (got {value!r})")
         if self.p < 1:
             raise ValidationError(f"p must satisfy p >= 1 (got p={self.p})")
@@ -200,7 +200,7 @@ def polar_multiplicities_sigma1(p: int) -> PolarMultiplicityTable:
     the minimal D(p(p+1)/2, p) germ at the same dimension, because the
     corresponding Lê cycles carry multiplicity 2.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
     top = p * (p + 1) // 2 - 1
     entries = {d: 0 for d in range(top + 1)}

@@ -34,3 +34,8 @@ class CheckError(DqpError, RuntimeError):
 
     This always signals an internal bug, never bad user input.
     """
+
+
+def is_int(value) -> bool:
+    """True for integers other than bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -28,6 +28,7 @@ swept with one vectorized matrix product per y-vector.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DqpParams
-from .errors import BudgetError, CheckError, ValidationError
+from .errors import BudgetError, CheckError, ValidationError, is_int
 
 __all__ = [
     "NormalFormSpec",
@@ -48,7 +49,6 @@ __all__ = [
     "count_nonzero_y_slice",
     "counting_polynomial",
     "evaluate_polynomial",
-    "polynomial_string",
     "DEFAULT_BUDGET",
 ]
 
@@ -68,9 +68,9 @@ class NormalFormSpec:
     q1: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 1:
+        if not is_int(self.p) or self.p < 1:
             raise ValidationError(f"p must satisfy p >= 1 (got p={self.p})")
-        if not isinstance(self.q1, int) or self.q1 < 0:
+        if not is_int(self.q1) or self.q1 < 0:
             raise ValidationError(f"q1 must satisfy q1 >= 0 (got q1={self.q1})")
 
     @property
@@ -105,9 +105,13 @@ class PointCountReport:
         return self.observed_count == self.predicted_count
 
 
-def _require_odd_prime(prime: int) -> None:
-    if not isinstance(prime, int) or prime < 3 or prime % 2 == 0:
+def _require_odd_modulus(prime: int) -> None:
+    if not is_int(prime) or prime < 3 or prime % 2 == 0:
         raise ValidationError(f"the modulus must be an odd prime (got {prime})")
+
+
+def _require_odd_prime(prime: int) -> None:
+    _require_odd_modulus(prime)
     d = 3
     while d * d <= prime:
         if prime % d == 0:
@@ -193,12 +197,14 @@ def count_points(
 ) -> PointCountReport:
     """Exhaustive count of {f = target} in F_prime^n, compared to the prediction.
 
-    With jobs > 1 the y-range is split into that many contiguous slices
-    counted on worker threads; integer addition of disjoint slice counts
+    The budget is checked before primality, so an oversized modulus is
+    refused without trial division.  With jobs > 1 the y-range is split
+    into contiguous slices counted on worker threads, at most one per
+    y-vector and per core; integer addition of disjoint slice counts
     makes the result independent of the partition and the scheduling.
     """
-    _require_odd_prime(prime)
-    if not isinstance(jobs, int) or jobs < 1:
+    _require_odd_modulus(prime)
+    if not is_int(jobs) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer (got {jobs})")
     enumerated = prime**spec.n
     if enumerated > budget:
@@ -207,13 +213,15 @@ def count_points(
             f"budget of {budget}",
             required=enumerated,
         )
+    _require_odd_prime(prime)
     started = time.perf_counter()
     total_y = prime**spec.p
-    if jobs == 1:
+    workers = min(jobs, total_y, os.cpu_count() or 1)
+    if workers == 1:
         base = count_nonzero_y_slice(spec, prime, target, 0, total_y)
     else:
-        edges = [round(j * total_y / jobs) for j in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        edges = [round(j * total_y / workers) for j in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             base = sum(
                 pool.map(
                     lambda bounds: count_nonzero_y_slice(
@@ -305,22 +313,3 @@ def evaluate_polynomial(coeffs: tuple[int, ...], t: int) -> int:
     for c in reversed(coeffs):
         value = value * t + c
     return value
-
-
-def polynomial_string(coeffs: tuple[int, ...], indeterminate: str = "t") -> str:
-    """Readable rendering, highest degree first, e.g. 't^4 - t^2'."""
-    pieces: list[str] = []
-    for degree in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[degree]
-        if c == 0:
-            continue
-        if degree == 0:
-            body = str(abs(c))
-        else:
-            power = indeterminate if degree == 1 else f"{indeterminate}^{degree}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"

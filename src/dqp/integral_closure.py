@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
     "Monomial",
@@ -63,7 +63,7 @@ class Monomial:
         if not self.exponents:
             raise ValidationError("a monomial needs at least one variable")
         for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            if not is_int(e) or e < 0:
                 raise ValidationError(
                     f"exponents must be nonnegative integers (got {self.exponents})"
                 )
@@ -97,7 +97,7 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variable_count, int) or self.variable_count < 1:
+        if not is_int(self.variable_count) or self.variable_count < 1:
             raise ValidationError(
                 f"variable_count must be a positive integer (got {self.variable_count})"
             )
@@ -157,7 +157,7 @@ class WeightVector:
 
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
     """e-th power: all e-fold generator products, minimalized on construction."""
-    if not isinstance(e, int) or e < 1:
+    if not is_int(e) or e < 1:
         raise ValidationError(f"the exponent must be a positive integer (got {e})")
     products = []
     for combo in itertools.combinations_with_replacement(ideal.generators, e):
@@ -296,7 +296,7 @@ def in_integral_closure_valuative(
 
 def default_witnesses(variable_count: int, seed: int | str = 0) -> list[WeightVector]:
     """Unit vectors, the all-ones vector, and seeded small-integer vectors."""
-    if not isinstance(variable_count, int) or variable_count < 1:
+    if not is_int(variable_count) or variable_count < 1:
         raise ValidationError(
             f"variable_count must be a positive integer (got {variable_count})"
         )
@@ -432,7 +432,7 @@ def reduction_generator_count(p: int) -> int:
     For the minimal germ the ideal of y-partials plus the squares
     y_1^2, ..., y_p^2 is a reduction, giving p + p = 2p generators.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
     return 2 * p
 

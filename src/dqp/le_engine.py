@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import Bidegree, BidegreeSystem, intersection_number_ring
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
-    "LeSystemSpec",
     "SymbolicPolynomial",
     "build_le_system",
     "le_number_via_chow",
@@ -46,15 +45,6 @@ __all__ = [
 # Cofactor expansion touches ~p! terms; p = 8 is still instant, larger
 # sizes are refused.
 MAX_DET_SIZE = 8
-
-
-@dataclass(frozen=True)
-class LeSystemSpec:
-    """Bidegree system encoding one Lê cycle of the minimal germ."""
-
-    p: int
-    i: int
-    system: BidegreeSystem
 
 
 @dataclass(frozen=True)
@@ -105,26 +95,13 @@ class SymbolicPolynomial:
         return SymbolicPolynomial(self.variable_count, terms)
 
     @property
-    def monomial_count(self) -> int:
-        return len(self.terms)
-
-    @property
     def min_total_degree(self) -> int:
         if not self.terms:
             raise ValidationError("the zero polynomial has no order at the origin")
         return min(sum(e) for e in self.terms)
 
-    @property
-    def max_total_degree(self) -> int:
-        if not self.terms:
-            raise ValidationError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        return not self.terms or self.min_total_degree == self.max_total_degree
-
-
-def build_le_system(p: int, i: int) -> LeSystemSpec:
+def build_le_system(p: int, i: int) -> BidegreeSystem:
     """Bidegree system of the dimension-(q - i) Lê cycle, q = p(p+1)/2.
 
     Ambient P^{p(p+1)/2 - 1} x P^{p-1}; classes are p copies of (1,1),
@@ -132,9 +109,9 @@ def build_le_system(p: int, i: int) -> LeSystemSpec:
     p >= 2 (for p = 1 the hyperplane count would go negative) and
     1 <= i <= p.
     """
-    if not isinstance(p, int) or p < 2:
+    if not is_int(p) or p < 2:
         raise ValidationError(f"p must satisfy p >= 2 (got p={p})")
-    if not isinstance(i, int) or not 1 <= i <= p:
+    if not is_int(i) or not 1 <= i <= p:
         raise ValidationError(f"i must satisfy 1 <= i <= p (got i={i}, p={p})")
     ambient_n = p * (p + 1) // 2 - 1
     ambient_m = p - 1
@@ -144,8 +121,7 @@ def build_le_system(p: int, i: int) -> LeSystemSpec:
         + (Bidegree(0, 2),) * (i - 1)
         + (Bidegree(1, 0),) * hyperplanes
     )
-    system = BidegreeSystem(ambient_n=ambient_n, ambient_m=ambient_m, classes=classes)
-    return LeSystemSpec(p=p, i=i, system=system)
+    return BidegreeSystem(ambient_n=ambient_n, ambient_m=ambient_m, classes=classes)
 
 
 def underlying_multiplicity_via_chow(p: int, i: int) -> int:
@@ -155,7 +131,7 @@ def underlying_multiplicity_via_chow(p: int, i: int) -> int:
     which is half the Lê number and matches the polar multiplicity of
     the degenerate-matrix locus at the same dimension.
     """
-    return intersection_number_ring(build_le_system(p, i).system)
+    return intersection_number_ring(build_le_system(p, i))
 
 
 def le_number_via_chow(p: int, i: int) -> int:
@@ -179,7 +155,7 @@ def generic_symmetric_det(p: int) -> SymbolicPolynomial:
     (order at the origin is invariant under rescaling coordinates, so
     nothing is lost by avoiding halves).  Homogeneous of degree p.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
     if p > MAX_DET_SIZE:
         raise BudgetError(

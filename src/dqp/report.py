@@ -37,6 +37,13 @@ class Check:
         if self.status not in ("pass", "fail"):
             raise ValueError(f"check status must be pass or fail (got {self.status!r})")
 
+    @classmethod
+    def of(cls, name: str, ok: bool, detail: str, fail_detail: str = "") -> Check:
+        """Pass with ``detail`` when ``ok``, else fail with ``fail_detail`` or ``detail``."""
+        if ok:
+            return cls(name, "pass", detail)
+        return cls(name, "fail", fail_detail or detail)
+
     @property
     def passed(self) -> bool:
         return self.status == "pass"

@@ -32,7 +32,7 @@ import random
 import time
 
 from . import chow, core, ffcount, integral_closure, le_engine
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .report import Check, Report
 
 __all__ = [
@@ -53,12 +53,6 @@ DEFAULT_SWEEP_LIMIT = 10**7
 SWEEP_PRIMES = (3, 5, 7, 11)
 
 
-def _check(name: str, ok: bool, pass_detail: str, fail_detail: str = "") -> Check:
-    if ok:
-        return Check(name=name, status="pass", detail=pass_detail)
-    return Check(name=name, status="fail", detail=fail_detail or pass_detail)
-
-
 def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
     checks: list[Check] = []
 
@@ -74,7 +68,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
             if engine != closed:
                 mismatches.append((p, i, engine, closed))
     checks.append(
-        _check(
+        Check.of(
             "le-closed-form-vs-chow",
             not mismatches,
             f"{cases} cases, 2 <= p <= {pmax}",
@@ -90,7 +84,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
             if 2 * m != le[d]:
                 halving_bad.append((p, d))
     checks.append(
-        _check(
+        Check.of(
             "polar-equals-half-le",
             not halving_bad,
             f"all dimensions, 2 <= p <= {pmax}",
@@ -108,7 +102,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
                 if not core.verify_massey_identity(core.DqpParams(n=n, q=q, p=p)):
                     massey_bad.append((n, q, p))
     checks.append(
-        _check(
+        Check.of(
             "massey-alternating-sum",
             not massey_bad,
             f"{massey_cases} parameter triples, p <= {pmax}",
@@ -121,7 +115,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         if core.euler_obstruction_sigma1(p) != p % 2:
             parity_bad.append(p)
     checks.append(
-        _check(
+        Check.of(
             "euler-obstruction-parity",
             not parity_bad,
             "p = 1..8",
@@ -140,7 +134,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
             if core.euler_obstruction_hypersurface(params) != expected:
                 hyper_bad.append((params.n, q, p))
     checks.append(
-        _check(
+        Check.of(
             "euler-obstruction-hypersurface",
             not hyper_bad,
             f"{hyper_cases} cases, 2 <= p <= {pmax}",
@@ -153,7 +147,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         p for p in range(1, det_top + 1) if le_engine.det_multiplicity(p) != p
     ]
     checks.append(
-        _check(
+        Check.of(
             "det-multiplicity",
             not det_bad,
             f"p = 1..{det_top}",
@@ -192,7 +186,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         ):
             dual_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "ring-vs-subset-sum",
             not dual_bad,
             f"{cases} seeded systems, class count <= 10, entries <= 3",
@@ -216,7 +210,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         ):
             perm_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "permutation-invariance",
             not perm_bad,
             f"{cases // 4} seeded reorderings",
@@ -246,7 +240,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         if total != chow.intersection_number_ring(whole):
             linear_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "multilinearity",
             not linear_bad,
             f"{cases // 4} seeded split-and-sum cases",
@@ -278,7 +272,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         ):
             vanish_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "forced-vanishing",
             not vanish_bad,
             f"{cases // 4} systems with more k-only classes than the k-budget",
@@ -288,17 +282,20 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     return checks
 
 
+def _random_monomial(
+    rng: random.Random, variable_count: int, max_expo: int
+) -> integral_closure.Monomial:
+    return integral_closure.Monomial(
+        tuple(rng.randint(0, max_expo) for _ in range(variable_count))
+    )
+
+
 def _random_ideal(
     rng: random.Random, max_vars: int = 4, max_expo: int = 5
 ) -> integral_closure.MonomialIdeal:
     nvars = rng.randint(1, max_vars)
     count = rng.randint(1, 5)
-    gens = tuple(
-        integral_closure.Monomial(
-            tuple(rng.randint(0, max_expo) for _ in range(nvars))
-        )
-        for _ in range(count)
-    )
+    gens = tuple(_random_monomial(rng, nvars, max_expo) for _ in range(count))
     return integral_closure.MonomialIdeal(nvars, gens)
 
 
@@ -331,7 +328,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         if not integral_closure.is_reduction(squares, squared):
             family_bad.append(p)
     checks.append(
-        _check(
+        Check.of(
             "square-ideal-reduction-family",
             not family_bad,
             "p = 1..6",
@@ -344,9 +341,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
     for c in range(cases):
         rng = random.Random(f"{seed}:closure-dual:{c}")
         ideal = _random_ideal(rng)
-        m = integral_closure.Monomial(
-            tuple(rng.randint(0, 7) for _ in range(ideal.variable_count))
-        )
+        m = _random_monomial(rng, ideal.variable_count, 7)
         newton = integral_closure.in_integral_closure_newton(ideal, m)
         facets = integral_closure.in_integral_closure_facets(ideal, m)
         if newton != facets:
@@ -356,7 +351,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         ):
             degree_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "newton-vs-facet-enumeration",
             not dual_bad,
             f"{cases} seeded ideals in <= 4 variables",
@@ -364,7 +359,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         )
     )
     checks.append(
-        _check(
+        Check.of(
             "member-degree-necessity",
             not degree_bad,
             f"{cases} seeded membership cases",
@@ -376,9 +371,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
     for c in range(cases // 2):
         rng = random.Random(f"{seed}:closure-wit:{c}")
         ideal = _random_ideal(rng)
-        m = integral_closure.Monomial(
-            tuple(rng.randint(0, 7) for _ in range(ideal.variable_count))
-        )
+        m = _random_monomial(rng, ideal.variable_count, 7)
         witnesses = integral_closure.default_witnesses(
             ideal.variable_count, seed=f"{seed}:closure-wit:{c}"
         )
@@ -390,7 +383,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         if newton and not valuative:
             witness_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "witness-refutation-soundness",
             not witness_bad,
             f"{cases // 2} seeded witness batteries",
@@ -402,15 +395,11 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
     for c in range(cases // 2):
         rng = random.Random(f"{seed}:closure-mono:{c}")
         ideal = _random_ideal(rng)
-        m = integral_closure.Monomial(
-            tuple(rng.randint(0, 7) for _ in range(ideal.variable_count))
-        )
+        m = _random_monomial(rng, ideal.variable_count, 7)
         if not integral_closure.in_integral_closure_newton(ideal, m):
             continue
         extra = tuple(
-            integral_closure.Monomial(
-                tuple(rng.randint(0, 5) for _ in range(ideal.variable_count))
-            )
+            _random_monomial(rng, ideal.variable_count, 5)
             for _ in range(rng.randint(1, 3))
         )
         larger = integral_closure.MonomialIdeal(
@@ -419,7 +408,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         if not integral_closure.in_integral_closure_newton(larger, m):
             mono_bad.append(c)
     checks.append(
-        _check(
+        Check.of(
             "membership-monotonicity",
             not mono_bad,
             f"{cases // 2} seeded enlargements",
@@ -444,7 +433,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
             if not (legs and integral_closure.is_reduction(squares, squared)):
                 trans_bad.append((p, c))
     checks.append(
-        _check(
+        Check.of(
             "reduction-transitivity",
             not trans_bad,
             "15 seeded chains through intermediate ideals, p = 2..4",
@@ -480,7 +469,7 @@ def ffcount_checks(
         if not report.agree:
             sweep_bad.append((spec.p, spec.q1, prime))
     checks.append(
-        _check(
+        Check.of(
             "observed-equals-predicted",
             not sweep_bad,
             f"{sweep_cases} shape/prime pairs with prime^n <= {sweep_limit}",
@@ -503,7 +492,7 @@ def ffcount_checks(
                     target_bad.append((p, q1, prime))
                     break
     checks.append(
-        _check(
+        Check.of(
             "target-independence",
             not target_bad,
             f"{target_cases} nonzero targets across three shapes, primes 3..7",
@@ -524,7 +513,7 @@ def ffcount_checks(
             if not euler_ok:
                 poly_bad.append((p, q1))
     checks.append(
-        _check(
+        Check.of(
             "counting-polynomial-euler",
             not poly_bad,
             "interpolation matches the closed form and N(1) = 0 = 1 + reduced "
@@ -548,7 +537,7 @@ def ffcount_checks(
         if parts != whole:
             partition_bad.append(chunks)
     checks.append(
-        _check(
+        Check.of(
             "partition-independence",
             not partition_bad,
             "slice sums identical for 1, 2, 8 chunks (p=2 over F_5)",
@@ -569,9 +558,9 @@ def run_verify(
         raise ValidationError(
             f"scope must be one of {', '.join(SCOPES)} (got {scope!r})"
         )
-    if not isinstance(pmax, int) or not 2 <= pmax <= 8:
+    if not is_int(pmax) or not 2 <= pmax <= 8:
         raise ValidationError(f"pmax must satisfy 2 <= pmax <= 8 (got {pmax})")
-    if not isinstance(sweep_limit, int) or sweep_limit < 1:
+    if not is_int(sweep_limit) or sweep_limit < 1:
         raise ValidationError(
             f"the enumeration limit must be a positive integer (got {sweep_limit})"
         )

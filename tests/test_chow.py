@@ -7,30 +7,17 @@ from dqp.chow import (
     FULTON_SUBSET_LIMIT,
     Bidegree,
     BidegreeSystem,
-    TruncatedBivariatePoly,
     intersection_number_fulton,
     intersection_number_ring,
 )
 from dqp.errors import BudgetError, ValidationError
+from dqp.verify import _random_system
 
 
 def system(n, m, pairs):
     return BidegreeSystem(
         ambient_n=n, ambient_m=m, classes=tuple(Bidegree(a, b) for a, b in pairs)
     )
-
-
-def random_system(rng, max_total=12, max_entry=3):
-    total = rng.randint(2, max_total)
-    n = rng.randint(0, total)
-    classes = []
-    for _ in range(total):
-        a = rng.randint(0, max_entry)
-        b = rng.randint(0, max_entry)
-        if a == 0 and b == 0:
-            a = rng.randint(1, max_entry)
-        classes.append((a, b))
-    return system(n, total - n, classes)
 
 
 def test_bidegree_validation():
@@ -49,13 +36,13 @@ def test_system_requires_matching_class_count():
 
 
 def test_truncated_poly_arithmetic():
-    unit = TruncatedBivariatePoly.unit(1, 1)
-    assert unit.coefficient(0, 0) == 1
-    hk = unit.multiply_class(1, 1).multiply_class(1, 1)
-    assert hk.coefficient(1, 1) == 2
-    assert hk.coefficient(0, 0) == 0
+    # the empty product on a point is the unit
+    assert intersection_number_ring(system(0, 0, [])) == 1
+    # (h + k)^2 = 2hk once h^2 and k^2 are truncated away
+    assert intersection_number_ring(system(1, 1, [(1, 1), (1, 1)])) == 2
     # truncation: h^2 vanishes when ambient_n = 1
-    assert hk.coefficient(1, 0) == 0
+    assert intersection_number_ring(system(1, 1, [(1, 0), (1, 0)])) == 0
+    assert intersection_number_ring(system(1, 1, [(1, 0), (3, 2)])) == 2
 
 
 def test_ring_known_values():
@@ -78,14 +65,14 @@ def test_projective_space_degrees():
 def test_ring_equals_fulton_seeded():
     for case in range(200):
         rng = random.Random(f"test:chow:{case}")
-        s = random_system(rng)
+        s = _random_system(rng, max_total=12)
         assert intersection_number_ring(s) == intersection_number_fulton(s)
 
 
 def test_permutation_invariance():
     for case in range(40):
         rng = random.Random(f"test:chow-perm:{case}")
-        s = random_system(rng)
+        s = _random_system(rng, max_total=12)
         shuffled = list(s.classes)
         rng.shuffle(shuffled)
         s2 = BidegreeSystem(s.ambient_n, s.ambient_m, tuple(shuffled))
@@ -96,7 +83,7 @@ def test_permutation_invariance():
 def test_multilinearity():
     for case in range(40):
         rng = random.Random(f"test:chow-linear:{case}")
-        s = random_system(rng)
+        s = _random_system(rng, max_total=12)
         a, b = rng.randint(1, 3), rng.randint(1, 3)
         rest = s.classes[1:]
         whole = BidegreeSystem(s.ambient_n, s.ambient_m, (Bidegree(a, b),) + rest)

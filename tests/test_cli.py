@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -211,6 +212,24 @@ def test_count_jobs_equivalence(capsys):
         )
         observed.append(doc["results"]["observed"])
     assert observed == [600, 600, 600]
+
+
+def test_count_json_independent_of_core_count(capsys, monkeypatch):
+    outputs = []
+    for cores in (2, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, doc, raw, _ = run_json(capsys, "count", "--p", "2", "--prime", "5")
+        assert code == 0
+        outputs.append(raw)
+    assert outputs[0] == outputs[1]
+    assert doc["inputs"]["jobs"] is None
+
+
+def test_count_oversized_modulus_refused_before_primality(capsys):
+    code, out, err = run(capsys, "count", "--p", "1", "--prime", str(10**40 + 1))
+    assert code == 3
+    assert out == ""
+    assert "exceeds" in err
 
 
 def test_verify_core_scope(capsys):

@@ -14,7 +14,12 @@ from dqp.core import (
     validate_params,
     verify_massey_identity,
 )
+from dqp.chow import Bidegree, BidegreeSystem
 from dqp.errors import ValidationError
+from dqp.ffcount import NormalFormSpec, count_points
+from dqp.integral_closure import Monomial, MonomialIdeal, default_witnesses, power_ideal
+from dqp.le_engine import build_le_system, generic_symmetric_det
+from dqp.verify import run_verify
 
 
 def test_params_validation_messages():
@@ -169,3 +174,46 @@ def test_massey_identity_sweep():
         for q in range(q_min, q_min + 4):
             for n in range(q + p, q + p + 4):
                 assert verify_massey_identity(DqpParams(n, q, p))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: DqpParams(3, True, True), id="params-bool"),
+        pytest.param(lambda: DqpParams(3.0, 1, 1), id="params-float"),
+        pytest.param(lambda: Bidegree(True, 0), id="bidegree-bool-a"),
+        pytest.param(lambda: Bidegree(1, False), id="bidegree-bool-b"),
+        pytest.param(
+            lambda: BidegreeSystem(1.5, 0.5, (Bidegree(1, 0), Bidegree(0, 1))),
+            id="system-float",
+        ),
+        pytest.param(
+            lambda: BidegreeSystem(True, 0, (Bidegree(1, 0),)), id="system-bool"
+        ),
+        pytest.param(lambda: NormalFormSpec(p=True), id="spec-bool-p"),
+        pytest.param(lambda: NormalFormSpec(p=1, q1=True), id="spec-bool-q1"),
+        pytest.param(lambda: polar_multiplicities_sigma1(True), id="polar-bool"),
+        pytest.param(lambda: generic_symmetric_det(True), id="det-bool"),
+        pytest.param(lambda: build_le_system(2, True), id="le-system-bool-i"),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(p=1), 3, jobs=True), id="jobs-bool"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(p=1), 3, jobs=1.0), id="jobs-float"
+        ),
+        pytest.param(
+            lambda: MonomialIdeal(True, (Monomial((1,)),)), id="ideal-bool-width"
+        ),
+        pytest.param(
+            lambda: power_ideal(MonomialIdeal(1, (Monomial((1,)),)), True),
+            id="power-bool",
+        ),
+        pytest.param(lambda: default_witnesses(True), id="witnesses-bool"),
+        pytest.param(
+            lambda: run_verify(scope="core", sweep_limit=True), id="sweep-limit-bool"
+        ),
+    ],
+)
+def test_sizes_reject_bool_and_non_integers(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -1,7 +1,9 @@
 import itertools
+import os
 
 import pytest
 
+from dqp import ffcount
 from dqp.core import reduced_euler_characteristic
 from dqp.errors import BudgetError, ValidationError
 from dqp.ffcount import (
@@ -11,7 +13,6 @@ from dqp.ffcount import (
     counting_polynomial,
     eval_normal_form,
     evaluate_polynomial,
-    polynomial_string,
     predicted_count,
 )
 
@@ -104,6 +105,43 @@ def test_count_budget_refusal():
     assert info.value.required == 11**9
 
 
+def test_count_budget_checked_before_primality():
+    'an oversized odd modulus is refused before any trial division'
+    with pytest.raises(BudgetError) as info:
+        count_points(NormalFormSpec(p=1), 10**40 + 1)
+    assert info.value.required == (10**40 + 1) ** 2
+    with pytest.raises(ValidationError, match="odd prime"):
+        count_points(NormalFormSpec(p=1), 10**40)
+    with pytest.raises(ValidationError, match="odd prime"):
+        count_points(NormalFormSpec(p=1), 9)
+
+
+def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
+    'no real threads start: a recording stand-in replaces the pool'
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return [fn(item) for item in iterable]
+
+    monkeypatch.setattr(ffcount, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert count_points(NormalFormSpec(p=1), 3, jobs=10**6).observed_count == 2
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert count_points(NormalFormSpec(p=2), 5, jobs=10**6).observed_count == 600
+    assert sizes == [3, 2]
+
+
 def test_count_rejects_zero_target():
     with pytest.raises(ValidationError, match="nonzero"):
         count_points(NormalFormSpec(p=1), 3, target=0)
@@ -169,10 +207,3 @@ def test_counting_polynomial_matches_sympy_factorization():
         ours = sum(c * t**k for k, c in enumerate(coeffs))
         closed = sympy.expand((t**p - 1) * t ** (spec.n - p - 1))
         assert sympy.simplify(ours - closed) == 0
-
-
-def test_polynomial_string():
-    assert polynomial_string((-1, 1)) == "t - 1"
-    assert polynomial_string((0, 0, -1, 0, 1)) == "t^4 - t^2"
-    assert polynomial_string((0,)) == "0"
-    assert polynomial_string((2, 0, 3)) == "3*t^2 + 2"

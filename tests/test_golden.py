@@ -1,0 +1,50 @@
+"""Byte-exact golden `--format json` outputs for every README CLI example.
+
+Each file under tests/golden/ was written by the command named beside it
+(with `--format json --out tests/golden/<name>.json`).  A golden file
+changes only together with an intended output change that CHANGES.md
+explains.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dqp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "invariants": ["invariants", "--n", "5", "--q", "3", "--p", "2"],
+    "lecycles-p3": ["lecycles", "--p", "3"],
+    "lecycles-p3-i2": ["lecycles", "--p", "3", "--i", "2"],
+    "chow-both": ["chow", "--n", "1", "--m", "1", "--classes", "1,1;1,1"],
+    "chow-fulton": [
+        "chow", "--n", "2", "--m", "1", "--classes", "1,1;1,1;0,2",
+        "--algorithm", "fulton",
+    ],
+    "closure-membership": ["closure", "--ideal", "y1^2, y2^2", "--monomial", "y1*y2"],
+    "closure-reduction": [
+        "closure", "--ideal", "y1^2, y2^2", "--full", "y1^2, y1*y2, y2^2",
+        "--mode", "reduction",
+    ],
+    "count-p2": ["count", "--p", "2", "--prime", "5", "--jobs", "1"],
+    "count-p2-q1": [
+        "count", "--p", "2", "--q1", "1", "--prime", "3", "--target", "2",
+        "--jobs", "4",
+    ],
+    "verify-seed42": ["verify", "--seed", "42"],
+    "verify-closure-pmax5": [
+        "verify", "--scope", "closure", "--pmax", "5", "--format", "json",
+    ],
+    "verify-core-pmax8": ["verify", "--seed", "42", "--scope", "core", "--pmax", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_json(name, capsys, monkeypatch):
+    monkeypatch.delenv("DQP_BUDGET", raising=False)
+    code = main(CASES[name] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")

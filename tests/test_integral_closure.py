@@ -19,6 +19,7 @@ from dqp.integral_closure import (
     power_ideal,
     reduction_generator_count,
 )
+from dqp.verify import _random_ideal, _random_monomial
 
 
 def ideal(*exponent_rows):
@@ -32,15 +33,6 @@ def maximal_ideal(p):
 
 def squares_ideal(p):
     return ideal(*[[2 * int(i == j) for j in range(p)] for i in range(p)])
-
-
-def random_ideal(rng, max_vars=4, max_expo=5):
-    nvars = rng.randint(1, max_vars)
-    rows = [
-        [rng.randint(0, max_expo) for _ in range(nvars)]
-        for _ in range(rng.randint(1, 5))
-    ]
-    return ideal(*rows)
 
 
 def test_monomial_validation():
@@ -146,8 +138,8 @@ def test_facet_budget():
 def test_newton_vs_facets_seeded():
     for case in range(150):
         rng = random.Random(f"test:closure:{case}")
-        i = random_ideal(rng)
-        m = Monomial(tuple(rng.randint(0, 7) for _ in range(i.variable_count)))
+        i = _random_ideal(rng)
+        m = _random_monomial(rng, i.variable_count, 7)
         assert in_integral_closure_newton(i, m) == in_integral_closure_facets(i, m)
 
 
@@ -180,8 +172,8 @@ def test_default_witnesses_shape():
 def test_witnesses_never_refute_members():
     for case in range(60):
         rng = random.Random(f"test:closure-wit:{case}")
-        i = random_ideal(rng)
-        m = Monomial(tuple(rng.randint(0, 7) for _ in range(i.variable_count)))
+        i = _random_ideal(rng)
+        m = _random_monomial(rng, i.variable_count, 7)
         if in_integral_closure_newton(i, m):
             assert in_integral_closure_valuative(
                 i, m, default_witnesses(i.variable_count, seed=case)
@@ -191,14 +183,11 @@ def test_witnesses_never_refute_members():
 def test_membership_monotone_under_enlargement():
     for case in range(60):
         rng = random.Random(f"test:closure-mono:{case}")
-        i = random_ideal(rng)
-        m = Monomial(tuple(rng.randint(0, 6) for _ in range(i.variable_count)))
+        i = _random_ideal(rng)
+        m = _random_monomial(rng, i.variable_count, 6)
         if not in_integral_closure_newton(i, m):
             continue
-        extra = tuple(
-            Monomial(tuple(rng.randint(0, 5) for _ in range(i.variable_count)))
-            for _ in range(2)
-        )
+        extra = tuple(_random_monomial(rng, i.variable_count, 5) for _ in range(2))
         bigger = MonomialIdeal(i.variable_count, i.generators + extra)
         assert in_integral_closure_newton(bigger, m)
 

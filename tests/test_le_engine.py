@@ -16,14 +16,14 @@ from dqp.le_engine import (
 
 
 def test_build_le_system_classes():
-    spec = build_le_system(3, 2)
-    assert spec.system.ambient_n == 5
-    assert spec.system.ambient_m == 2
+    system = build_le_system(3, 2)
+    assert system.ambient_n == 5
+    assert system.ambient_m == 2
     counts = {}
-    for c in spec.system.classes:
+    for c in system.classes:
         counts[(c.a, c.b)] = counts.get((c.a, c.b), 0) + 1
     assert counts == {(1, 1): 3, (0, 2): 1, (1, 0): 3}
-    assert len(spec.system.classes) == 7
+    assert len(system.classes) == 7
 
 
 def test_build_le_system_rejects_bad_inputs():
@@ -64,15 +64,13 @@ def test_symbolic_polynomial_arithmetic():
     x = SymbolicPolynomial.variable(2, 0)
     y = SymbolicPolynomial.variable(2, 1)
     s = x + y
-    assert s.monomial_count == 2
+    assert s.terms == {(1, 0): 1, (0, 1): 1}
     square = s * s
     assert square.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert (square - square).monomial_count == 0
+    assert (square - square).terms == {}
     assert (-x).terms == {(1, 0): -1}
-    assert square.is_homogeneous()
-    assert not (square + x).is_homogeneous()
+    assert square.min_total_degree == 2
     assert (square + x).min_total_degree == 1
-    assert (square + x).max_total_degree == 2
 
 
 def test_zero_polynomial_has_no_degree():
@@ -98,8 +96,8 @@ def test_det_p3_expansion():
         (0, 1, 1, 0, 1, 0): 2,
         (0, 0, 2, 1, 0, 0): -1,
     }
-    assert det.monomial_count == 5
-    assert det.is_homogeneous()
+    assert len(det.terms) == 5
+    assert {sum(e) for e in det.terms} == {3}
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -127,6 +125,8 @@ def test_det_matches_sympy(p):
 def test_det_multiplicity_values():
     for p in range(1, 7):
         assert det_multiplicity(p) == p
+        # homogeneous of degree p, so the order at the origin is p
+        assert {sum(e) for e in generic_symmetric_det(p).terms} == {p}
 
 
 def test_det_budget():
