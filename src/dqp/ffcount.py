@@ -110,13 +110,35 @@ def _require_odd_modulus(prime: int) -> None:
         raise ValidationError(f"the modulus must be an odd prime (got {prime})")
 
 
+# Miller-Rabin with the first 12 prime bases is exact below the least
+# composite that passes all of them, 318665857834031151167461 ~ 3.2e23
+# (Sorenson and Webster, 2017); larger moduli are refused rather than
+# given a probabilistic answer.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _require_odd_prime(prime: int) -> None:
     _require_odd_modulus(prime)
-    d = 3
-    while d * d <= prime:
-        if prime % d == 0:
+    if prime >= _MR_EXACT_BELOW:
+        raise BudgetError(
+            f"primality of {prime} is only decided below {_MR_EXACT_BELOW}"
+        )
+    if prime in _MR_BASES:
+        return
+    odd, twos = prime - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MR_BASES:
+        x = pow(base, odd, prime)
+        if x in (1, prime - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % prime
+            if x == prime - 1:
+                break
+        else:
             raise ValidationError(f"the modulus must be an odd prime (got {prime})")
-        d += 2
 
 
 def eval_normal_form(
@@ -198,7 +220,7 @@ def count_points(
     """Exhaustive count of {f = target} in F_prime^n, compared to the prediction.
 
     The budget is checked before primality, so an oversized modulus is
-    refused without trial division.  With jobs > 1 the y-range is split
+    refused before any primality test.  With jobs > 1 the y-range is split
     into contiguous slices counted on worker threads, at most one per
     y-vector and per core; integer addition of disjoint slice counts
     makes the result independent of the partition and the scheduling.

@@ -87,6 +87,29 @@ def test_lecycles_single_index(capsys):
     assert row["dimension"] == 4
 
 
+def test_lecycles_builds_and_evaluates_each_system_once(capsys, monkeypatch):
+    from dqp import chow, le_engine
+
+    calls = {"build": 0, "ring": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    build = counting("build", le_engine.build_le_system)
+    ring = counting("ring", chow.intersection_number_ring)
+    monkeypatch.setattr(le_engine, "build_le_system", build)
+    monkeypatch.setattr(chow, "intersection_number_ring", ring)
+    monkeypatch.setattr(le_engine, "intersection_number_ring", ring)
+    code, doc, _, _ = run_json(capsys, "lecycles", "--p", "5")
+    assert code == 0
+    assert [r["i"] for r in doc["results"]["systems"]] == [1, 2, 3, 4, 5]
+    assert calls == {"build": 5, "ring": 5}
+
+
 def test_lecycles_rejects_p1(capsys):
     code, _, err = run(capsys, "lecycles", "--p", "1")
     assert code == 2
@@ -230,6 +253,17 @@ def test_count_oversized_modulus_refused_before_primality(capsys):
     assert code == 3
     assert out == ""
     assert "exceeds" in err
+
+
+def test_count_modulus_beyond_exact_primality_refused(capsys):
+    'a raised budget admits the grid, but primality is not decided there'
+    prime = str(399165290221 * 798330580441)
+    code, out, err = run(
+        capsys, "count", "--p", "1", "--prime", prime, "--budget", str(10**48)
+    )
+    assert code == 3
+    assert out == ""
+    assert "primality" in err
 
 
 def test_verify_core_scope(capsys):

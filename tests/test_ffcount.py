@@ -116,6 +116,43 @@ def test_count_budget_checked_before_primality():
         count_points(NormalFormSpec(p=1), 9)
 
 
+def test_primality_agrees_with_trial_division():
+    def trial_division(n):
+        return all(n % d for d in range(3, int(n**0.5) + 1, 2))
+
+    for n in range(3, 20000, 2):
+        if trial_division(n):
+            ffcount._require_odd_prime(n)
+        else:
+            with pytest.raises(ValidationError, match="odd prime"):
+                ffcount._require_odd_prime(n)
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [561, 41041, 3215031751, 3825123056546413051],
+    ids=["carmichael-561", "carmichael-41041", "spsp-2-7", "spsp-2-31"],
+)
+def test_primality_rejects_pseudoprimes(composite):
+    with pytest.raises(ValidationError, match="odd prime"):
+        ffcount._require_odd_prime(composite)
+
+
+def test_primality_accepts_large_primes():
+    ffcount._require_odd_prime(1000000000039)
+    ffcount._require_odd_prime(100000000000031)
+
+
+def test_primality_refused_where_it_would_be_probabilistic():
+    'the least composite that passes all 12 bases is refused, not accepted'
+    spsp = 399165290221 * 798330580441
+    assert spsp == ffcount._MR_EXACT_BELOW
+    with pytest.raises(BudgetError, match="primality"):
+        ffcount._require_odd_prime(spsp)
+    with pytest.raises(BudgetError):
+        predicted_count(NormalFormSpec(p=1), 10**30 + 57)
+
+
 def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
     'no real threads start: a recording stand-in replaces the pool'
     sizes = []

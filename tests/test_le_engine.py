@@ -1,4 +1,6 @@
-from math import comb
+import itertools
+import random
+from math import comb, prod
 
 import pytest
 
@@ -61,20 +63,14 @@ def test_multiplicity_of_determinantal_slice_is_p():
 
 
 def test_symbolic_polynomial_arithmetic():
-    x = SymbolicPolynomial.variable(2, 0)
-    y = SymbolicPolynomial.variable(2, 1)
-    s = x + y
-    assert s.terms == {(1, 0): 1, (0, 1): 1}
-    square = s * s
-    assert square.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert (square - square).terms == {}
-    assert (-x).terms == {(1, 0): -1}
+    # (x + y)^2 and (x + y)^2 + x
+    square = SymbolicPolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert square.min_total_degree == 2
-    assert (square + x).min_total_degree == 1
+    assert SymbolicPolynomial(2, {**square.terms, (1, 0): 1}).min_total_degree == 1
 
 
 def test_zero_polynomial_has_no_degree():
-    zero = SymbolicPolynomial.zero(3)
+    zero = SymbolicPolynomial(3, {})
     with pytest.raises(ValidationError):
         zero.min_total_degree
 
@@ -100,6 +96,70 @@ def test_det_p3_expansion():
     assert {sum(e) for e in det.terms} == {3}
 
 
+def _upper_triangle_index(p):
+    'position of x_{ij}, i <= j, among the variables in row-major order'
+    pairs = [(i, j) for i in range(p) for j in range(i, p)]
+    return {pair: pos for pos, pair in enumerate(pairs)}
+
+
+def _leibniz_det(p):
+    'sum over permutations s of sign(s) * prod_r x_{min(r, s r), max(r, s r)}'
+    index = _upper_triangle_index(p)
+    terms = {}
+    for perm in itertools.permutations(range(p)):
+        inversions = sum(
+            perm[a] > perm[b] for a in range(p) for b in range(a + 1, p)
+        )
+        expo = [0] * len(index)
+        for r, c in enumerate(perm):
+            expo[index[(min(r, c), max(r, c))]] += 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + (-1) ** inversions
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_det_matches_leibniz(p):
+    'independent oracle: the permutation sum shares no code with Laplace'
+    assert generic_symmetric_det(p).terms == _leibniz_det(p)
+
+
+def _bareiss_det(matrix):
+    'fraction-free Gaussian elimination over the integers'
+    m = [row[:] for row in matrix]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def test_det_p8_size_degree_and_value():
+    det = generic_symmetric_det(8)
+    assert det.variable_count == 36
+    assert len(det.terms) == 18155
+    assert {sum(e) for e in det.terms} == {8}
+    rng = random.Random(8)
+    index = _upper_triangle_index(8)
+    values = [rng.randint(-9, 9) for _ in index]
+    matrix = [
+        [values[index[(min(r, c), max(r, c))]] for c in range(8)] for r in range(8)
+    ]
+    at_point = sum(
+        coeff * prod(v**e for v, e in zip(values, expo))
+        for expo, coeff in det.terms.items()
+    )
+    assert at_point == _bareiss_det(matrix) != 0
+
+
 @pytest.mark.parametrize("p", range(1, 6))
 def test_det_matches_sympy(p):
     'independent oracle: sympy symbolic determinant of the same matrix'
@@ -107,12 +167,7 @@ def test_det_matches_sympy(p):
     names = [
         sympy.Symbol(f"x{i}{j}") for i in range(p) for j in range(i, p)
     ]
-    index = {}
-    pos = 0
-    for i in range(p):
-        for j in range(i, p):
-            index[(i, j)] = pos
-            pos += 1
+    index = _upper_triangle_index(p)
     matrix = sympy.Matrix(
         p, p, lambda r, c: names[index[(min(r, c), max(r, c))]]
     )
