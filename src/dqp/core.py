@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CheckError, ValidationError, is_int
+from .errors import BudgetError, CheckError, ValidationError, is_int
 
 __all__ = [
     "DqpParams",
@@ -52,7 +52,14 @@ __all__ = [
     "euler_obstruction_sigma1",
     "euler_obstruction_hypersurface",
     "verify_massey_identity",
+    "LE_TABLE_LIMIT",
 ]
+
+
+# Lê tables are dense over 0..q, and q = 2*10^6 took 2.1 s and 162 MiB.
+# At this limit the table builds in ~0.02 s and `dqp invariants` renders
+# it as JSON in ~0.7 s (2-core VM).
+LE_TABLE_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -179,9 +186,16 @@ def le_numbers(params: DqpParams) -> LeNumberTable:
     lambda^{q-i} = 2^i * C(p, p-i) for 0 <= i <= p and lambda^d = 0 for
     every other dimension d in 0..q.  The inert coordinates only shift
     the cycle dimensions up by q1 and the square terms leave the cycles
-    unchanged, so the table depends on (q, p) alone.
+    unchanged, so the table depends on (q, p) alone.  A table of more
+    than LE_TABLE_LIMIT entries is refused before it is allocated.
     """
     q, p = params.q, params.p
+    if q + 1 > LE_TABLE_LIMIT:
+        raise BudgetError(
+            f"a Lê table over dimensions 0..{q} has {q + 1} entries "
+            f"(limit {LE_TABLE_LIMIT})",
+            required=q + 1,
+        )
     entries = {d: 0 for d in range(q + 1)}
     for i in range(p + 1):
         entries[q - i] = 2**i * comb(p, p - i)

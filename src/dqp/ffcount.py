@@ -22,7 +22,10 @@ only, since characteristic 2 breaks the symmetric-form calculus.
 The enumeration puts the y-block outermost so the y = 0 slab (where f
 vanishes identically) is skipped, and coordinates that the formula
 never reads contribute an analytic factor prime^q1.  The x-block is
-swept with one vectorized matrix product per y-vector.
+swept with one vectorized matrix product per y-vector.  numpy is
+imported inside the two functions that use it, so importing this module
+(and with it the package and its command line) loads no third-party code
+until the first point count.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .core import DqpParams
 from .errors import BudgetError, CheckError, ValidationError, is_int
@@ -170,6 +171,8 @@ def predicted_count(spec: NormalFormSpec, prime: int) -> int:
 @lru_cache(maxsize=16)
 def _x_grid(prime: int, width: int) -> np.ndarray:
     """All of F_prime^width as rows, lexicographic, int64."""
+    import numpy as np
+
     axes = np.meshgrid(*([np.arange(prime, dtype=np.int64)] * width), indexing="ij")
     return np.stack(axes).reshape(width, -1).T
 
@@ -192,6 +195,8 @@ def count_nonzero_y_slice(
         raise ValidationError(
             f"slice [{start}, {stop}) out of range for {prime}^{spec.p} y-vectors"
         )
+    import numpy as np
+
     target_value = target % prime
     grid = _x_grid(prime, spec.matrix_variable_count)
     total = 0

@@ -43,12 +43,19 @@ __all__ = [
     "reduction_generator_count",
     "blowup_fiber_bound",
     "FACET_VARIABLE_LIMIT",
+    "NEWTON_CELL_LIMIT",
     "DEFAULT_RANDOM_WITNESSES",
 ]
 
 # Facet enumeration brute-forces generator subsets; past 4 variables the
 # subset count stops being "tiny".
 FACET_VARIABLE_LIMIT = 4
+
+# The Newton simplex's tableau has n + 1 rows of g + n + 1 Fraction cells
+# (n variables, g generators) and every pivot rewrites all of them.  The
+# slowest case measured at this limit, 330 generators in 2 variables,
+# took about 0.95 s.
+NEWTON_CELL_LIMIT = 1000
 
 DEFAULT_RANDOM_WITNESSES = 50
 
@@ -170,9 +177,18 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership in the Newton polyhedron, by exact rational feasibility.
 
     Feasible iff there are mu_g >= 0 with sum mu_g = 1 and
-    sum mu_g * exponent(g) <= exponent(m) componentwise.
+    sum mu_g * exponent(g) <= exponent(m) componentwise.  Refuses, before
+    building any row, a tableau of more than NEWTON_CELL_LIMIT cells.
     """
     ideal._check_dimension(m)
+    n, g = ideal.variable_count, len(ideal.generators)
+    cells = (n + 1) * (g + n + 1)
+    if cells > NEWTON_CELL_LIMIT:
+        raise BudgetError(
+            f"the Newton simplex needs a {n + 1} x {g + n + 1} tableau "
+            f"({cells} cells, limit {NEWTON_CELL_LIMIT})",
+            required=cells,
+        )
     # Cheap necessary condition first: pair with the all-ones weight.
     if m.total_degree < min(g.total_degree for g in ideal.generators):
         return False

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from dqp import integral_closure
 from dqp.cli import main
 
 
@@ -67,6 +68,15 @@ def test_invariants_csv(capsys):
     assert "results.le_numbers,3,1," in lines
     assert "results.le_numbers,0,0," in lines
     assert "\r" not in out
+
+
+def test_invariants_oversized_table_refused(capsys):
+    code, out, err = run(
+        capsys, "invariants", "--n", "2000010", "--q", "2000000", "--p", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert "limit" in err
 
 
 def test_lecycles_all_indices(capsys):
@@ -178,6 +188,24 @@ def test_closure_reduction_false_case(capsys):
     )
     assert code == 0
     assert doc["results"]["reduction"] is False
+
+
+def test_closure_oversized_tableau_refused(capsys, monkeypatch):
+    'refused before the Newton rows or the witness battery are built'
+    def no_witnesses(*args, **kwargs):
+        raise AssertionError("witness battery built for a refused request")
+
+    monkeypatch.setattr(integral_closure, "default_witnesses", no_witnesses)
+    code, out, err = run(capsys, "closure", "--ideal", "y100000", "--monomial", "y1")
+    assert code == 3
+    assert out == ""
+    assert "tableau" in err
+    code, out, err = run(
+        capsys, "closure", "--mode", "reduction",
+        "--ideal", "y1,y40", "--full", "y1,y40,y2*y3",
+    )
+    assert code == 3
+    assert "tableau" in err
 
 
 def test_closure_grammar_whitespace_and_powers(capsys):

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from dqp.core import (
+    LE_TABLE_LIMIT,
     DqpParams,
     euler_obstruction_hypersurface,
     euler_obstruction_sigma1,
@@ -15,7 +16,7 @@ from dqp.core import (
     verify_massey_identity,
 )
 from dqp.chow import Bidegree, BidegreeSystem
-from dqp.errors import ValidationError
+from dqp.errors import BudgetError, ValidationError
 from dqp.ffcount import NormalFormSpec, count_points
 from dqp.integral_closure import Monomial, MonomialIdeal, default_witnesses, power_ideal
 from dqp.le_engine import build_le_system, generic_symmetric_det
@@ -83,6 +84,14 @@ def test_le_closed_form_sweep():
                 assert table.entries[q - i] == 2**i * comb(p, p - i)
             for d in range(q - p):
                 assert table.entries[d] == 0
+
+
+def test_le_table_budget():
+    q = LE_TABLE_LIMIT - 1
+    assert len(le_numbers(DqpParams(q + 2, q, 2)).entries) == LE_TABLE_LIMIT
+    with pytest.raises(BudgetError) as info:
+        le_numbers(DqpParams(q + 3, q + 1, 2))
+    assert info.value.required == LE_TABLE_LIMIT + 1
 
 
 def test_fixed_cycles():

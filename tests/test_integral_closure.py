@@ -6,6 +6,7 @@ import pytest
 from dqp.errors import BudgetError, ValidationError
 from dqp.integral_closure import (
     FACET_VARIABLE_LIMIT,
+    NEWTON_CELL_LIMIT,
     Monomial,
     MonomialIdeal,
     WeightVector,
@@ -133,6 +134,19 @@ def test_facet_budget():
     with pytest.raises(BudgetError):
         newton_facet_normals(wide)
     assert FACET_VARIABLE_LIMIT == 4
+
+
+def test_newton_cell_budget():
+    'one generator in n variables is an (n + 1) x (n + 2) tableau'
+    assert NEWTON_CELL_LIMIT == 1000
+    largest = MonomialIdeal(30, (Monomial((1,) + (0,) * 29),))
+    assert in_integral_closure_newton(largest, Monomial((1,) + (0,) * 29))
+    wider = MonomialIdeal(31, (Monomial((1,) + (0,) * 30),))
+    with pytest.raises(BudgetError) as info:
+        in_integral_closure_newton(wider, Monomial((0,) * 30 + (1,)))
+    assert info.value.required == 32 * 33
+    with pytest.raises(BudgetError):
+        is_reduction(wider, wider)
 
 
 def test_newton_vs_facets_seeded():
