@@ -1,9 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
-from dqp import integral_closure
+from dqp import cli, integral_closure
 from dqp.cli import main
 
 
@@ -205,6 +206,22 @@ def test_closure_oversized_tableau_refused(capsys, monkeypatch):
         "--ideal", "y1,y40", "--full", "y1,y40,y2*y3",
     )
     assert code == 3
+    assert "tableau" in err
+
+
+def test_closure_huge_variable_index_refused_first(capsys, monkeypatch):
+    'membership mode refuses from the parsed indices, before any dense tuple'
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("exponent tuple built for a refused request")
+
+    monkeypatch.setattr(cli, "_build_monomial", no_tuples)
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "closure", "--ideal", "y1", "--monomial", "y1000000000"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
     assert "tableau" in err
 
 

@@ -1,5 +1,7 @@
 import random
+import threading
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +12,7 @@ from dqp.integral_closure import (
     Monomial,
     MonomialIdeal,
     WeightVector,
+    _primitive_nonnegative_kernel,
     blowup_fiber_bound,
     default_witnesses,
     in_integral_closure_facets,
@@ -123,6 +126,39 @@ def test_facet_normals_of_square_ideal():
     assert normals == [((0, 1), 0), ((1, 0), 0), ((1, 1), 2)]
 
 
+def test_facet_normals_pinned():
+    'full lists as the rational Gauss-Jordan kernel gave them'
+    assert newton_facet_normals(ideal([4, 0], [1, 2], [0, 5])) == [
+        ((0, 1), 0), ((1, 0), 0), ((2, 3), 8), ((3, 1), 5), ((5, 4), 13),
+    ]
+    assert newton_facet_normals(
+        ideal([3, 0, 0], [0, 2, 1], [1, 1, 1], [0, 0, 4], [2, 2, 0])
+    ) == [
+        ((0, 0, 1), 0), ((0, 1, 0), 0), ((0, 1, 1), 0), ((0, 2, 1), 0),
+        ((0, 3, 1), 0), ((0, 3, 2), 0), ((1, 0, 0), 0), ((1, 0, 1), 1),
+        ((1, 0, 2), 2), ((1, 0, 3), 2), ((1, 1, 0), 0), ((1, 1, 1), 3),
+        ((1, 1, 2), 3), ((1, 2, 0), 0), ((1, 3, 2), 3), ((2, 0, 1), 1),
+        ((2, 1, 0), 0), ((2, 1, 3), 5), ((2, 1, 4), 6), ((2, 3, 0), 0),
+        ((3, 0, 1), 1), ((3, 3, 2), 8), ((4, 0, 3), 3), ((4, 2, 3), 7),
+        ((4, 5, 3), 12), ((8, 9, 6), 23),
+    ]
+    assert newton_facet_normals(ideal([2, 0, 0], [1, 1, 0], [0, 2, 0])) == [
+        ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 0), 2),
+    ]
+
+
+def test_rank_deficient_systems_yield_no_normal():
+    'collinear generators, a repeated recession direction, or a difference along one'
+    assert _primitive_nonnegative_kernel([[-1, 1, 0], [-2, 2, 0]], 3) is None
+    assert _primitive_nonnegative_kernel([[1, 0, 0], [1, 0, 0]], 3) is None
+    assert _primitive_nonnegative_kernel([[3, 0, 0], [1, 0, 0]], 3) is None
+    assert _primitive_nonnegative_kernel([[0, 0]], 2) is None
+    # a kernel line with mixed signs is not a supporting normal
+    assert _primitive_nonnegative_kernel([[1, 1]], 2) is None
+    assert _primitive_nonnegative_kernel([[-2, 4, 0], [0, 0, 1]], 3) == (2, 1, 0)
+    assert _primitive_nonnegative_kernel([], 1) == (1,)
+
+
 def test_facet_route_agrees_on_knowns():
     k = ideal([3, 0], [0, 3])
     assert in_integral_closure_facets(k, Monomial((2, 2)))
@@ -149,6 +185,106 @@ def test_newton_cell_budget():
         is_reduction(wider, wider)
 
 
+def in_diagonal_closure(a, e):
+    'the independent oracle: x^e is integral over (y_i^a_i) iff sum e_i / a_i >= 1'
+    return sum(Fraction(x, d) for x, d in zip(e, a)) >= 1
+
+
+def diagonal_with_redundant(rng, a, extra):
+    'the diagonal ideal plus generators already in its closure'
+    n = len(a)
+    gens = [tuple(d * int(i == j) for j in range(n)) for i, d in enumerate(a)]
+    while len(gens) < n + extra:
+        e = tuple(rng.randint(0, d) for d in a)
+        if in_diagonal_closure(a, e):
+            gens.append(e)
+    return ideal(*gens)
+
+
+def test_newton_diagonal_oracle_beyond_facet_limit():
+    'five to eight variables, where the facet route refuses'
+    for case in range(120):
+        rng = random.Random(f"test:closure-diag:{case}")
+        a = [rng.randint(1, 9) for _ in range(rng.randint(5, 8))]
+        i = diagonal_with_redundant(rng, a, rng.randint(0, 6))
+        e = tuple(rng.randint(0, d) for d in a)
+        assert in_integral_closure_newton(i, Monomial(e)) == in_diagonal_closure(a, e)
+
+
+def test_newton_diagonal_oracle_large_exponents():
+    'exponents near 10^6, where tableau entries grow and each division must be exact'
+    members = 0
+    for case in range(60):
+        rng = random.Random(f"test:closure-big:{case}")
+        # a_i = L / r_i with r_0 = 1, so sum e_i r_i = L is exactly the boundary
+        r = [1] + [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        big = lcm(*r) * rng.randint(10**6, 2 * 10**6)
+        a = [big // k for k in r]
+        i = diagonal_with_redundant(rng, a, rng.randint(1, 6))
+        share = [rng.random() for _ in a]
+        on = [int(big * s / sum(share)) // k for s, k in zip(share, r)]
+        on[0] += big - sum(e * k for e, k in zip(on, r))
+        nudged = list(on)
+        nudged[rng.randrange(len(a))] += rng.choice((-1, 1))
+        for e in (on, nudged):
+            e = tuple(max(0, x) for x in e)
+            expected = in_diagonal_closure(a, e)
+            members += expected
+            assert in_integral_closure_newton(i, Monomial(e)) == expected
+    assert 60 < members < 120
+
+
+def test_newton_same_degree_antichain_boundary():
+    'every generator has degree d, so ratios tie; degree d is on the boundary'
+    for case in range(80):
+        rng = random.Random(f"test:closure-tie:{case}")
+        n, d = rng.randint(2, 6), rng.randint(2, 5)
+        a = [d] * n
+        i = diagonal_with_redundant(rng, a, rng.randint(2, 10))
+        on = [0] * n
+        for _ in range(d):
+            on[rng.randrange(n)] += 1
+        below = list(on)
+        below[next(k for k in range(n) if below[k])] -= 1
+        assert in_integral_closure_newton(i, Monomial(tuple(on)))
+        assert not in_integral_closure_newton(i, Monomial(tuple(below)))
+        assert in_diagonal_closure(a, on) and not in_diagonal_closure(a, below)
+
+
+def test_newton_bland_rule_prevents_cycling():
+    'degenerate non-members on which either tie-break, reversed, cycles forever'
+    cases = [
+        # reversing the ratio-test tie-break cycles on these two
+        (
+            [(3, 1, 1, 0, 0), (2, 2, 2, 1, 0), (2, 1, 3, 3, 0), (2, 0, 0, 0, 1),
+             (1, 1, 1, 0, 2), (1, 1, 0, 2, 1), (1, 0, 3, 1, 3), (0, 1, 1, 1, 1),
+             (0, 0, 3, 3, 3)],
+            (0, 0, 4, 0, 3),
+        ),
+        (
+            [(2, 0, 3, 3, 2, 0), (1, 3, 2, 3, 3, 0), (1, 2, 0, 1, 0, 3),
+             (1, 1, 0, 2, 0, 1), (1, 0, 1, 1, 0, 2), (0, 2, 1, 0, 0, 1),
+             (0, 0, 2, 2, 0, 1)],
+            (0, 0, 3, 0, 1, 1),
+        ),
+        # entering the largest eligible column instead cycles on this one
+        ([(4, 2, 1, 1), (3, 0, 3, 5), (2, 3, 0, 0), (1, 2, 4, 0), (0, 4, 1, 0)],
+         (3, 0, 0, 3)),
+    ]
+    answers = []
+
+    def decide():
+        for gens, m in cases:
+            answers.append(in_integral_closure_newton(ideal(*gens), Monomial(m)))
+
+    worker = threading.Thread(target=decide, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "the Newton simplex cycled"
+    assert answers == [False, False, False]
+    assert not in_integral_closure_facets(ideal(*cases[2][0]), Monomial(cases[2][1]))
+
+
 def test_newton_vs_facets_seeded():
     for case in range(150):
         rng = random.Random(f"test:closure:{case}")
@@ -166,6 +302,26 @@ def test_valuative_examples():
     )
     for g in j.generators:
         assert in_integral_closure_valuative(j, g, default_witnesses(2))
+
+
+def test_valuative_non_integer_weights_match_fraction_pairing():
+    'denominators are cleared per witness; the answer is the Fraction definition'
+    i = ideal([4, 0], [1, 2], [0, 5], [3, 1])
+    weights = [
+        (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7)),
+        (Fraction(1, 3), 0), (Fraction(3, 4), Fraction(5, 6)),
+    ]
+    on_boundary = 0
+    for w in map(WeightVector, weights):
+        order = min(w.pairing(g.exponents) for g in i.generators)
+        for a in range(7):
+            for b in range(7):
+                m = Monomial((a, b))
+                on_boundary += w.pairing(m.exponents) == order
+                assert in_integral_closure_valuative(i, m, [w]) == (
+                    w.pairing(m.exponents) >= order
+                )
+    assert on_boundary > 0
 
 
 def test_valuative_dimension_mismatch():
