@@ -379,7 +379,7 @@ def cmd_count(args: argparse.Namespace) -> Report:
     budget = args.budget if args.budget is not None else _budget_from_env(
         ffcount.DEFAULT_BUDGET
     )
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
+    jobs = 1 if args.jobs is None else args.jobs
     report = ffcount.count_points(
         spec, args.prime, target=args.target, budget=budget, jobs=jobs
     )
@@ -510,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker threads, capped at the available cores (default: all of "
-        "them); the count is identical for every value",
+        help="worker threads, capped at the available cores (default: 1); the "
+        "counter holds the interpreter lock, so more threads do not count "
+        "faster, and the count is identical for every value",
     )
     p_count.set_defaults(handler=cmd_count)
 

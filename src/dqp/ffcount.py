@@ -10,9 +10,9 @@ F_prime that reasoning predicts exactly
 
 points, a polynomial in the field size whose value at t = 1 is 0, the
 Euler characteristic of an odd sphere.  This module checks the
-prediction by exhaustive enumeration and recovers the counting
-polynomial by exact Lagrange interpolation rather than trusting the
-closed form.
+prediction by exhaustive enumeration, and recovers the counting
+polynomial by exact Lagrange interpolation of observed counts rather
+than of the closed form.
 
 Only the square-free normal form (no y^2 suspension terms, k = 0) is
 counted: suspension terms would drag quadratic character sums into the
@@ -21,22 +21,28 @@ only, since characteristic 2 breaks the symmetric-form calculus.
 
 The enumeration puts the y-block outermost so the y = 0 slab (where f
 vanishes identically) is skipped, and coordinates that the formula
-never reads contribute an analytic factor prime^q1.  The x-block is
-swept with one vectorized matrix product per y-vector.  numpy is
-imported inside the two functions that use it, so importing this module
-(and with it the package and its command line) loads no third-party code
-until the first point count.
+never reads contribute an analytic factor prime^q1.  For each nonzero y
+the x-block is counted exactly in pure Python: f is then the linear
+form sum_k c_k x_k with c = (y_i y_j mod prime), whose value
+distribution is the cyclic convolution of one histogram per coordinate,
+each built by looping over F_prime.  The distribution depends only on
+the multiset of coefficients, so y-vectors are grouped by their sorted
+coefficient tuple and each group is counted once.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+import threading
 import time
+from collections import Counter
+from collections.abc import Collection, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import DqpParams
 from .errors import BudgetError, CheckError, ValidationError, is_int
@@ -168,17 +174,110 @@ def predicted_count(spec: NormalFormSpec, prime: int) -> int:
     return (prime**spec.p - 1) * prime ** (spec.n - spec.p - 1)
 
 
-@lru_cache(maxsize=16)
-def _x_grid(prime: int, width: int) -> np.ndarray:
-    """All of F_prime^width as rows, lexicographic, int64."""
-    import numpy as np
+def _coordinate_values(coefficient: int, prime: int) -> Iterator[int]:
+    """c * x mod prime for every x in F_prime: the terms of one coordinate."""
+    return (coefficient * x % prime for x in range(prime))
 
-    axes = np.meshgrid(*([np.arange(prime, dtype=np.int64)] * width), indexing="ij")
-    return np.stack(axes).reshape(width, -1).T
+
+def _solve_linear_forms(
+    forms: Collection[tuple[int, ...]], prime: int, target: int
+) -> dict[tuple[int, ...], int]:
+    """#{x : sum_k c_k x_k = target mod prime} for each form c, all of one size.
+
+    A distribution over F_prime is packed into one int, entry v in the
+    width-bit digit v, so a cyclic convolution is one multiplication
+    whose upper prime digits fold back onto the lower ones.  A digit
+    never overflows: no entry exceeds prime^size, the number of
+    x-vectors summed over.  The packed histogram of each coefficient and
+    the distribution of each sorted prefix are built once; nothing
+    outlives the call.
+    """
+    size = len(next(iter(forms), ()))
+    digit_bytes = -(-(prime**size).bit_length() // 8)
+    width = 8 * digit_bytes
+    cycle = width * prime
+    low = (1 << cycle) - 1
+    digit = (1 << width) - 1
+    histograms: dict[int, int] = {}
+    prefixes: dict[tuple[int, ...], int] = {(): 1}
+
+    def convolve(distribution: int, coefficient: int) -> int:
+        packed = histograms.get(coefficient)
+        if packed is None:
+            counts = Counter(_coordinate_values(coefficient, prime))
+            packed = int.from_bytes(
+                b"".join(
+                    counts[v].to_bytes(digit_bytes, "little") for v in range(prime)
+                ),
+                "little",
+            )
+            histograms[coefficient] = packed
+        product = distribution * packed
+        return (product & low) + (product >> cycle)
+
+    def prefix(key: tuple[int, ...]) -> int:
+        packed = prefixes.get(key)
+        if packed is None:
+            packed = prefixes[key] = convolve(prefix(key[:-1]), key[-1])
+        return packed
+
+    solutions = {}
+    for form in forms:
+        if len(form) == 1:
+            solutions[form] = operator.countOf(
+                _coordinate_values(form[0], prime), target
+            )
+        else:
+            distribution = convolve(prefix(form[:-1]), form[-1])
+            solutions[form] = (distribution >> (width * target)) & digit
+    return solutions
+
+
+class _SharedForms:
+    """The forms of every slice of one count_points call, each solved once.
+
+    Each slice, on its own thread, publishes the forms of its y-range and
+    waits for the others; then it solves one contiguous share of their
+    sorted union, and once every share is in, it weights the solutions
+    of its own forms.  A form that occurs in several slices is therefore
+    solved once per call: for p = 1, y and -y share the form (y^2) but
+    fall in different halves of the y-range.  Waiting for the union is
+    also why the slices of one call always overlap in time; they still
+    take turns on the interpreter lock, so they never count faster than
+    one thread.
+    """
+
+    def __init__(self, parties: int) -> None:
+        self._barrier = threading.Barrier(parties)
+        self._published: list[Counter[tuple[int, ...]]] = []
+        self._solutions: dict[tuple[int, ...], int] = {}
+
+    def solve(
+        self, forms: Counter[tuple[int, ...]], prime: int, target: int
+    ) -> dict[tuple[int, ...], int]:
+        self._published.append(forms)
+        share = self._barrier.wait()
+        union = sorted(set().union(*self._published))
+        parties = self._barrier.parties
+        lo = len(union) * share // parties
+        hi = len(union) * (share + 1) // parties
+        self._solutions.update(_solve_linear_forms(union[lo:hi], prime, target))
+        self._barrier.wait()
+        return self._solutions
+
+    def abort(self) -> None:
+        """Release the other slices after this one failed."""
+        self._barrier.abort()
 
 
 def count_nonzero_y_slice(
-    spec: NormalFormSpec, prime: int, target: int, start: int, stop: int
+    spec: NormalFormSpec,
+    prime: int,
+    target: int,
+    start: int,
+    stop: int,
+    *,
+    shared: _SharedForms | None = None,
 ) -> int:
     """Count of {f = target} over y-vectors with lexicographic index in [start, stop).
 
@@ -186,7 +285,9 @@ def count_nonzero_y_slice(
     nothing because f vanishes there and target is nonzero.  The count
     covers the x-block only; unread coordinates are a flat factor
     prime^q1 applied by the caller.  Disjoint slices add up to the full
-    count, whatever the partition.
+    count, whatever the partition.  count_points passes `shared` to the
+    slices it runs at once, so that they solve each form once between
+    them.
     """
     _require_odd_prime(prime)
     if not 0 < target % prime:
@@ -195,24 +296,22 @@ def count_nonzero_y_slice(
         raise ValidationError(
             f"slice [{start}, {stop}) out of range for {prime}^{spec.p} y-vectors"
         )
-    import numpy as np
-
-    target_value = target % prime
-    grid = _x_grid(prime, spec.matrix_variable_count)
-    total = 0
+    pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
         itertools.product(range(prime), repeat=spec.p), start, stop
     )
-    for y in y_vectors:
-        if not any(y):
-            continue
-        coeffs = np.array(
-            [y[i] * y[j] % prime for i in range(spec.p) for j in range(i, spec.p)],
-            dtype=np.int64,
-        )
-        values = (grid @ coeffs) % prime
-        total += int(np.count_nonzero(values == target_value))
-    return total
+    forms = Counter(
+        tuple(sorted([y[i] * y[j] % prime for i, j in pairs]))
+        for y in y_vectors
+        if any(y)
+    )
+    if shared is None:
+        solutions = _solve_linear_forms(forms, prime, target % prime)
+    else:
+        solutions = shared.solve(forms, prime, target % prime)
+    return sum(
+        multiplicity * solutions[form] for form, multiplicity in forms.items()
+    )
 
 
 def count_points(
@@ -229,6 +328,9 @@ def count_points(
     into contiguous slices counted on worker threads, at most one per
     y-vector and per core; integer addition of disjoint slice counts
     makes the result independent of the partition and the scheduling.
+    The slices share their forms (see _SharedForms), so they do the work
+    of one slice, but the counter holds the interpreter lock: jobs > 1 is
+    never faster than jobs = 1.
     """
     _require_odd_modulus(prime)
     if not is_int(jobs) or jobs < 1:
@@ -247,16 +349,26 @@ def count_points(
     if workers == 1:
         base = count_nonzero_y_slice(spec, prime, target, 0, total_y)
     else:
-        edges = [round(j * total_y / workers) for j in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            base = sum(
-                pool.map(
-                    lambda bounds: count_nonzero_y_slice(
-                        spec, prime, target, bounds[0], bounds[1]
-                    ),
-                    zip(edges, edges[1:]),
+        shared = _SharedForms(workers)
+
+        def count_slice(bounds: tuple[int, int]) -> int | None:
+            try:
+                return count_nonzero_y_slice(
+                    spec, prime, target, *bounds, shared=shared
                 )
-            )
+            except threading.BrokenBarrierError:
+                return None  # another slice failed and raises its own error
+            except BaseException:
+                shared.abort()
+                raise
+
+        edges = [round(j * total_y / workers) for j in range(workers + 1)]
+        # The slices wait for each other, so each needs its own thread: a
+        # pool of `workers` threads gives one to each of `workers` slices,
+        # since none finishes before all have started.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # list() raises a failed slice's error before sum() meets a None.
+            base = sum(list(pool.map(count_slice, zip(edges, edges[1:]))))
     observed = base * prime**spec.q1
     elapsed = time.perf_counter() - started
     return PointCountReport(
@@ -283,32 +395,35 @@ def _first_odd_primes(count: int) -> list[int]:
 
 
 def counting_polynomial(spec: NormalFormSpec) -> tuple[int, ...]:
-    """Coefficients (ascending) of N(t), the point count as a polynomial in t.
+    """Coefficients (ascending) of N(t), the observed point count as a polynomial in t.
 
-    Interpolated exactly from predicted counts at the first n odd primes,
-    then checked against the closed form t^(n-1) - t^(n-p-1); a mismatch
-    means the prediction is not the polynomial it claims to be.
+    The unread coordinates are an exact factor t^q1, so only the base
+    count (q1 = 0) is sampled: it is counted at the first
+    p(p+1)/2 + p odd primes and interpolated exactly.  Raises CheckError
+    if a coefficient is not an integer, or if the polynomial misses the
+    count at one more, held-out prime.
     """
-    samples = [
-        (Fraction(prime), Fraction(predicted_count(spec, prime)))
-        for prime in _first_odd_primes(spec.n)
+    base = NormalFormSpec(spec.p)
+    primes = _first_odd_primes(base.n + 1)
+    counts = [
+        count_nonzero_y_slice(base, prime, 1, 0, prime**base.p) for prime in primes
     ]
-    coeffs = _lagrange_coefficients(samples)
+    coeffs = _lagrange_coefficients(
+        [(Fraction(prime), Fraction(count)) for prime, count in zip(primes[:-1], counts)]
+    )
     if any(c.denominator != 1 for c in coeffs):
         raise CheckError(
-            f"interpolated count for p={spec.p}, q1={spec.q1} is not an "
-            f"integer polynomial: {coeffs}"
+            f"interpolated count for p={spec.p} is not an integer polynomial: "
+            f"{coeffs}"
         )
     interpolated = tuple(int(c) for c in coeffs)
-    closed = [0] * spec.n
-    closed[spec.n - 1] = 1
-    closed[spec.n - spec.p - 1] -= 1
-    if interpolated != tuple(closed):
+    held_out = evaluate_polynomial(interpolated, primes[-1])
+    if held_out != counts[-1]:
         raise CheckError(
-            f"interpolated counting polynomial {interpolated} differs from "
-            f"the closed form {tuple(closed)} for p={spec.p}, q1={spec.q1}"
+            f"interpolated count for p={spec.p} gives {held_out} at the held-out "
+            f"prime {primes[-1]}, where {counts[-1]} points were counted"
         )
-    return interpolated
+    return (0,) * spec.q1 + interpolated
 
 
 def _lagrange_coefficients(

@@ -1,11 +1,15 @@
 import itertools
 import os
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from dqp import ffcount
 from dqp.core import reduced_euler_characteristic
-from dqp.errors import BudgetError, ValidationError
+from dqp.errors import BudgetError, CheckError, ValidationError
 from dqp.ffcount import (
     NormalFormSpec,
     count_nonzero_y_slice,
@@ -41,7 +45,7 @@ def test_eval_normal_form():
 
 
 def test_eval_normal_form_brute_force_cross_check():
-    'the vectorized counter agrees with pointwise evaluation on a tiny case'
+    'the histogram counter agrees with pointwise evaluation on a tiny case'
     spec = NormalFormSpec(p=2)
     prime = 3
     direct = sum(
@@ -50,6 +54,23 @@ def test_eval_normal_form_brute_force_cross_check():
         if eval_normal_form(spec, point, prime) == 1
     )
     assert direct == count_points(spec, prime).observed_count == 72
+
+
+@pytest.mark.parametrize(
+    "p, q1, prime",
+    [(1, 0, 3), (1, 2, 7), (1, 4, 5), (2, 0, 5), (2, 1, 5), (2, 2, 3), (2, 0, 7), (3, 0, 3)],
+    ids=lambda v: str(v),
+)
+def test_count_points_matches_enumeration_of_every_point(p, q1, prime):
+    'third route: f evaluated at all of F_prime^n, unread coordinates included'
+    spec = NormalFormSpec(p=p, q1=q1)
+    assert prime**spec.n <= 10**5
+    values = Counter(
+        eval_normal_form(spec, point, prime)
+        for point in itertools.product(range(prime), repeat=spec.n)
+    )
+    for target in range(1, prime):
+        assert count_points(spec, prime, target=target).observed_count == values[target]
 
 
 def test_eval_validation():
@@ -154,21 +175,13 @@ def test_primality_refused_where_it_would_be_probabilistic():
 
 
 def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
-    'no real threads start: a recording stand-in replaces the pool'
+    'the pool is sized by y-vectors and cores, whatever jobs asks for'
     sizes = []
 
-    class RecordingExecutor:
+    class RecordingExecutor(ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return [fn(item) for item in iterable]
+            super().__init__(max_workers)
 
     monkeypatch.setattr(ffcount, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -177,6 +190,65 @@ def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert count_points(NormalFormSpec(p=2), 5, jobs=10**6).observed_count == 600
     assert sizes == [3, 2]
+
+
+def _finishes(fn, seconds=60):
+    'run fn on a daemon thread; a slice left waiting fails the test, not the run'
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except Exception as error:  # noqa: BLE001 (returned to the test)
+            outcome.append(error)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "slices left waiting for each other"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("p, prime", [(1, 13), (2, 7), (3, 5)])
+def test_slices_solve_each_form_once(monkeypatch, p, prime):
+    'for p = 1, y and -y share the form (y^2) but fall in different slices'
+    solved = []
+    solve = ffcount._solve_linear_forms
+
+    def recording(forms, prime, target):
+        forms = list(forms)
+        solved.extend(forms)
+        return solve(forms, prime, target)
+
+    monkeypatch.setattr(ffcount, "_solve_linear_forms", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    spec = NormalFormSpec(p=p)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in (1, 2, 8):
+            solved.clear()
+            report = _finishes(lambda: count_points(spec, prime, jobs=jobs))
+            assert report.observed_count == predicted_count(spec, prime)
+            assert len(solved) == len(set(solved))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_a_failing_slice_releases_the_others_and_raises_its_error(monkeypatch):
+    calls = []
+    solve = ffcount._solve_linear_forms
+
+    def failing_once(forms, prime, target):
+        calls.append(forms)
+        if len(calls) == 1:
+            raise ArithmeticError("first share failed")
+        return solve(forms, prime, target)
+
+    monkeypatch.setattr(ffcount, "_solve_linear_forms", failing_once)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    raised = _finishes(lambda: count_points(NormalFormSpec(p=2), 5, jobs=3))
+    assert isinstance(raised, ArithmeticError)
 
 
 def test_count_rejects_zero_target():
@@ -233,6 +305,25 @@ def test_counting_polynomial_properties():
                 assert evaluate_polynomial(coeffs, prime) == predicted_count(
                     spec, prime
                 )
+
+
+@pytest.mark.parametrize(
+    "bumped, message",
+    [(0, "not an integer polynomial"), (-1, "held-out")],
+    ids=["first-sample", "held-out-prime"],
+)
+def test_counting_polynomial_rejects_a_wrong_count(monkeypatch, bumped, message):
+    'one count off by one, at a sample or at the held-out prime, is caught'
+    spec = NormalFormSpec(p=2)
+    bumped_prime = ffcount._first_odd_primes(spec.n + 1)[bumped]
+    honest = ffcount.count_nonzero_y_slice
+
+    def off_by_one(spec, prime, target, start, stop):
+        return honest(spec, prime, target, start, stop) + (prime == bumped_prime)
+
+    monkeypatch.setattr(ffcount, "count_nonzero_y_slice", off_by_one)
+    with pytest.raises(CheckError, match=message):
+        counting_polynomial(spec)
 
 
 def test_counting_polynomial_matches_sympy_factorization():

@@ -1,7 +1,10 @@
-"""numpy is loaded by the point counter only, never at import or by other commands.
+"""No import and no subcommand loads a third-party module; numpy least of all.
 
-Each case runs in a fresh interpreter, because the pytest process has
-usually imported numpy already.
+Each case runs in a fresh interpreter, because the pytest process may
+have imported third-party modules already.  The child blocks numpy
+(``sys.modules["numpy"] = None`` makes every import of it fail), then
+lists the modules that the import or command added to ``sys.modules``
+outside the standard library and the package itself.
 """
 
 import json
@@ -16,6 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
+before = set(sys.modules)
 argv = json.loads(sys.argv[1])
 if argv is None:
     import {module}
@@ -24,12 +29,13 @@ else:
     from dqp.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-print(json.dumps([code, "numpy" in sys.modules]))
+added = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+print(json.dumps([code, sorted(added - set(sys.stdlib_module_names) - {{"dqp"}})]))
 """
 
 
-def numpy_loaded(argv=None, module="dqp"):
-    """(exit code or None, whether numpy is in sys.modules) in a fresh child."""
+def third_party_loaded(argv=None, module="dqp"):
+    """(exit code or None, third-party modules loaded) in a fresh child."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("DQP_BUDGET", None)
@@ -43,7 +49,7 @@ def numpy_loaded(argv=None, module="dqp"):
 
 @pytest.mark.parametrize("module", ["dqp", "dqp.cli"])
 def test_import_leaves_numpy_unloaded(module):
-    assert numpy_loaded(module=module) == (None, False)
+    assert third_party_loaded(module=module) == (None, [])
 
 
 @pytest.mark.parametrize(
@@ -58,11 +64,18 @@ def test_import_leaves_numpy_unloaded(module):
     ids=lambda argv: argv[0],
 )
 def test_commands_without_point_counts_leave_numpy_unloaded(argv):
-    assert numpy_loaded(argv) == (0, False)
+    assert third_party_loaded(argv) == (0, [])
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_count_loads_numpy(jobs):
-    'positive control; with 2 jobs the first import may happen on worker threads'
-    argv = ["count", "--p", "1", "--prime", "3", "--jobs", jobs]
-    assert numpy_loaded(argv) == (0, True)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "2", "--prime", "5", "--jobs", "1"],
+        ["count", "--p", "2", "--prime", "5", "--jobs", "2"],
+        ["verify", "--scope", "ffcount"],
+    ],
+    ids=["count-jobs-1", "count-jobs-2", "verify-ffcount"],
+)
+def test_point_counts_leave_numpy_unloaded(argv):
+    'with 2 jobs the slices are counted on worker threads'
+    assert third_party_loaded(argv) == (0, [])

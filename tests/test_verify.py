@@ -1,5 +1,6 @@
 import pytest
 
+from dqp import ffcount
 from dqp.errors import ValidationError
 from dqp.verify import (
     chow_checks,
@@ -32,6 +33,18 @@ def test_ffcount_suite_small_limit():
     checks = ffcount_checks(seed=0, sweep_limit=10**5)
     for check in checks:
         assert check.passed, f"{check.name}: {check.detail}"
+
+
+def test_off_by_one_histogram_fails_the_count_checks(monkeypatch):
+    'dropping x = prime - 1 from every per-coordinate histogram is caught'
+    monkeypatch.setattr(
+        ffcount,
+        "_coordinate_values",
+        lambda c, prime: (c * x % prime for x in range(prime - 1)),
+    )
+    passed = {check.name: check.passed for check in ffcount_checks(sweep_limit=10**4)}
+    assert passed["observed-equals-predicted"] is False
+    assert passed["counting-polynomial-euler"] is False
 
 
 def test_run_verify_deterministic_for_fixed_seed():
