@@ -312,10 +312,9 @@ def cmd_closure(args: argparse.Namespace) -> Report:
     variable_count = 1 + max(
         (index for expo in all_exponents for index in expo), default=0
     )
-    if args.mode == "membership":
-        # Every ideal has a generator, so this is the smallest tableau the
-        # request can need: refuse it before building any exponent tuple.
-        integral_closure.require_newton_tableau(variable_count, 1)
+    # Every ideal has a generator, so this is the smallest tableau either
+    # mode can need: refuse it before building any exponent tuple.
+    integral_closure.require_newton_tableau(variable_count, 1)
     ideal = integral_closure.MonomialIdeal(
         variable_count,
         tuple(_build_monomial(e, variable_count) for e in ideal_exponents),

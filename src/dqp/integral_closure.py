@@ -14,7 +14,9 @@ curve t -> (t^{w_1}, ..., t^{w_n}) with w >= 0 the pullback order
 finitely many weight vectors is only a falsification tool in general,
 but checking the facet normals of the Newton polyhedron is complete, and
 those normals are enumerable exactly in low dimension, as signed maximal
-minors of integer systems.
+minors of integer systems.  Both routes run in plain int: a weight vector
+is held as integer numerators over one denominator, and the minors, never
+larger than 3 x 3 under FACET_VARIABLE_LIMIT, use closed forms.
 
 The reduction test (same integral closure, equivalently finite induced
 blow-up) is what makes the two-variable-block germ computations work:
@@ -28,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd, lcm
 from operator import le
 
@@ -147,29 +150,42 @@ class MonomialIdeal:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightVector:
-    """Nonnegative rational weights, not all zero: a monomial curve's orders."""
+    """Nonnegative rational weights, not all zero: a monomial curve's orders.
 
-    weights: tuple[Fraction, ...]
+    Held as integer numerators over one positive denominator, the lcm of
+    the weights' denominators: a unique form, so equal weights compare equal.
+    """
 
-    def __post_init__(self) -> None:
-        converted = tuple(Fraction(w) for w in self.weights)
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __init__(self, weights: tuple[int | Fraction, ...]) -> None:
+        converted = tuple(Fraction(w) for w in weights)
         for w in converted:
             if w < 0:
                 raise ValidationError(f"weights must be nonnegative (got {converted})")
         if not any(converted):
             raise ValidationError("the zero weight vector defines no curve")
-        object.__setattr__(self, "weights", converted)
+        scale = lcm(*(w.denominator for w in converted))
+        self._set(tuple(w.numerator * scale // w.denominator for w in converted), scale)
+
+    def _set(self, numerators: tuple[int, ...], denominator: int = 1) -> WeightVector:
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        return self
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def variable_count(self) -> int:
-        return len(self.weights)
+        return len(self.numerators)
 
     def pairing(self, exponents: tuple[int, ...]) -> Fraction:
-        return sum(
-            (w * e for w, e in zip(self.weights, exponents)), start=Fraction(0)
-        )
+        return Fraction(_dot(self.numerators, exponents), self.denominator)
 
 
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
@@ -276,18 +292,16 @@ def in_integral_closure_valuative(
     with an arbitrary finite list it is merely necessary.
     """
     ideal._check_dimension(m)
+    gens = [g.exponents for g in ideal.generators]
     for w in witnesses:
         if w.variable_count != ideal.variable_count:
             raise ValidationError(
                 f"witness {tuple(map(str, w.weights))} has {w.variable_count} "
                 f"variables, ideal has {ideal.variable_count}"
             )
-        # Clearing denominators scales every pairing by the same positive
-        # number, which keeps the comparison.
-        scale = lcm(*(x.denominator for x in w.weights))
-        ints = [x.numerator * (scale // x.denominator) for x in w.weights]
-        order = min(_dot(ints, g.exponents) for g in ideal.generators)
-        if _dot(ints, m.exponents) < order:
+        # Pairings share one positive denominator: compare the numerators'.
+        ints = w.numerators
+        if _dot(ints, m.exponents) < min(_dot(ints, g) for g in gens):
             return False
     return True
 
@@ -302,16 +316,21 @@ def default_witnesses(variable_count: int, seed: int | str = 0) -> list[WeightVe
         raise ValidationError(
             f"variable_count must be a positive integer (got {variable_count})"
         )
+    # Trusted path: nonnegative ints, not all zero, so no validation.
     witnesses = [
-        WeightVector(tuple(int(i == j) for j in range(variable_count)))
+        object.__new__(WeightVector)._set(
+            tuple(int(i == j) for j in range(variable_count))
+        )
         for i in range(variable_count)
     ]
-    witnesses.append(WeightVector((1,) * variable_count))
-    rng = random.Random(f"{seed}:witnesses:{variable_count}")
+    witnesses.append(object.__new__(WeightVector)._set((1,) * variable_count))
+    # rng.randint(0, 5) as CPython draws it: 3 bits, redrawn while above 5.
+    bits = random.Random(f"{seed}:witnesses:{variable_count}").getrandbits
+    draws = (r for r in iter(partial(bits, 3), None) if r < 6)
     while len(witnesses) < variable_count + 1 + DEFAULT_RANDOM_WITNESSES:
-        candidate = tuple(rng.randint(0, 5) for _ in range(variable_count))
+        candidate = tuple(itertools.islice(draws, variable_count))
         if any(candidate):
-            witnesses.append(WeightVector(candidate))
+            witnesses.append(object.__new__(WeightVector)._set(candidate))
     return witnesses
 
 
@@ -349,10 +368,8 @@ def newton_facet_normals(
             for directions in itertools.combinations(range(n), b_size):
                 system = rows + [units[d] for d in directions]
                 normal = _primitive_nonnegative_kernel(system, n)
-                if normal is None:
-                    continue
-                support = min(_dot(normal, g) for g in gens)
-                found.setdefault(normal, support)
+                if normal is not None and normal not in found:
+                    found[normal] = min(_dot(normal, g) for g in gens)
     return sorted(found.items())
 
 
@@ -380,14 +397,17 @@ def _primitive_nonnegative_kernel(
 
 
 def _det(matrix: list[list[int]]) -> int:
-    """Integer determinant by cofactor expansion along the first row."""
-    if not matrix:
-        return 1
-    return sum(
-        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in matrix[1:]])
-        for j, a in enumerate(matrix[0])
-        if a
-    )
+    """Integer determinant in closed form, up to the 3 x 3 facet minors need."""
+    size = len(matrix)
+    if size < 2:
+        return matrix[0][0] if matrix else 1
+    if size == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    raise ValidationError(f"no closed-form {size} x {size} determinant (max 3 x 3)")
 
 
 def in_integral_closure_facets(ideal: MonomialIdeal, m: Monomial) -> bool:

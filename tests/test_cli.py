@@ -225,6 +225,23 @@ def test_closure_huge_variable_index_refused_first(capsys, monkeypatch):
     assert "tableau" in err
 
 
+def test_closure_reduction_huge_variable_index_refused_first(capsys, monkeypatch):
+    'reduction mode refuses from the parsed indices too, before any dense tuple'
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("exponent tuple built for a refused request")
+
+    monkeypatch.setattr(cli, "_build_monomial", no_tuples)
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "closure", "--mode", "reduction",
+        "--ideal", "y1", "--full", "y1,y1000000000",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "tableau" in err
+
+
 def test_closure_grammar_whitespace_and_powers(capsys):
     'the grammar ignores whitespace and accepts the x-prefix'
     code, doc, _, _ = run_json(

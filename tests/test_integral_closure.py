@@ -1,7 +1,8 @@
+import itertools
 import random
 import threading
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -80,10 +81,25 @@ def test_contains_monomial():
 def test_weight_vector():
     w = WeightVector((1, Fraction(1, 2)))
     assert w.pairing((2, 4)) == 4
+    assert w.pairing((1, 1)) == Fraction(3, 2)
+    assert WeightVector((Fraction(2, 3), Fraction(5, 7), 0)).pairing((1, 2, 9)) == (
+        Fraction(44, 21)
+    )
+    assert w.weights == (Fraction(1), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in WeightVector((1, 2)).weights)
+    assert WeightVector((1, 2)) == WeightVector((Fraction(1), Fraction(2)))
+    assert hash(WeightVector((1, 2))) == hash(WeightVector((Fraction(1), Fraction(2))))
+    assert WeightVector((Fraction(2, 4), 1)) == WeightVector((Fraction(1, 2), 1))
+    assert WeightVector((1, 2)) != WeightVector((Fraction(1, 2), 1))
+    assert WeightVector((2, 4)) != WeightVector((1, 2))
     with pytest.raises(ValidationError):
         WeightVector((0, 0))
     with pytest.raises(ValidationError):
+        WeightVector((Fraction(0), 0, 0))
+    with pytest.raises(ValidationError):
         WeightVector((-1, 2))
+    with pytest.raises(ValidationError):
+        WeightVector((1, Fraction(-1, 3)))
 
 
 def test_power_ideal():
@@ -157,6 +173,66 @@ def test_rank_deficient_systems_yield_no_normal():
     assert _primitive_nonnegative_kernel([[1, 1]], 2) is None
     assert _primitive_nonnegative_kernel([[-2, 4, 0], [0, 0, 1]], 3) == (2, 1, 0)
     assert _primitive_nonnegative_kernel([], 1) == (1,)
+
+
+def _leibniz_det(matrix):
+    size = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(size) for j in range(i + 1, size)
+        )
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def _leibniz_minors(system, n):
+    return [
+        (-1) ** j * _leibniz_det([row[:j] + row[j + 1 :] for row in system])
+        for j in range(n)
+    ]
+
+
+def _kernel_oracle(minors):
+    if not any(minors):
+        return None
+    if sum(minors) < 0:
+        minors = [-v for v in minors]
+    if min(minors) < 0:
+        return None
+    return tuple(v // gcd(*minors) for v in minors)
+
+
+def test_kernel_matches_leibniz_oracle():
+    'closed-form minors against permutation-sum determinants on seeded systems'
+    rng = random.Random("test:kernel-oracle")
+    seen = {"rank-deficient": 0, "mixed-sign": 0, "normal": 0}
+    for case in range(2400):
+        n = 1 + case % 4
+        system = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        if n > 2 and case % 3 == 0:
+            # a multiple of another row, so the rank drops below n - 1
+            k = rng.randint(-2, 2)
+            system[-1] = [k * v for v in system[0]]
+        minors = _leibniz_minors(system, n)
+        expected = _kernel_oracle(minors)
+        assert _primitive_nonnegative_kernel(system, n) == expected, system
+        if expected is None:
+            seen["mixed-sign" if any(minors) else "rank-deficient"] += 1
+        else:
+            seen["normal"] += 1
+            assert gcd(*expected) == 1 and min(expected) >= 0
+            for row in system:
+                assert sum(a * b for a, b in zip(row, expected)) == 0
+    assert min(seen.values()) > 100, seen
+
+
+def test_kernel_refuses_minors_past_three_by_three():
+    with pytest.raises(ValidationError, match="3 x 3"):
+        _primitive_nonnegative_kernel([[1, 0, 0, 0, 0]] * 4, 5)
 
 
 def test_facet_route_agrees_on_knowns():
@@ -305,22 +381,29 @@ def test_valuative_examples():
 
 
 def test_valuative_non_integer_weights_match_fraction_pairing():
-    'denominators are cleared per witness; the answer is the Fraction definition'
-    i = ideal([4, 0], [1, 2], [0, 5], [3, 1])
-    weights = [
-        (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7)),
-        (Fraction(1, 3), 0), (Fraction(3, 4), Fraction(5, 6)),
+    'the integer route gives the Fraction definition: <w, a> >= min_g <w, g>'
+    def pair(weights, exponents):
+        return sum(Fraction(w) * e for w, e in zip(weights, exponents))
+
+    cases = [
+        (ideal([4, 0], [1, 2], [0, 5], [3, 1]), [
+            (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7)),
+            (Fraction(1, 3), 0), (Fraction(3, 4), Fraction(5, 6)),
+        ]),
+        (ideal([3, 0, 1], [0, 2, 2], [1, 1, 0], [0, 0, 4]), [
+            (Fraction(2, 3), Fraction(5, 7), 0), (Fraction(1, 2), 1, Fraction(1, 6)),
+            (0, Fraction(3, 5), Fraction(4, 9)),
+        ]),
     ]
     on_boundary = 0
-    for w in map(WeightVector, weights):
-        order = min(w.pairing(g.exponents) for g in i.generators)
-        for a in range(7):
-            for b in range(7):
-                m = Monomial((a, b))
-                on_boundary += w.pairing(m.exponents) == order
-                assert in_integral_closure_valuative(i, m, [w]) == (
-                    w.pairing(m.exponents) >= order
-                )
+    for i, weights in cases:
+        for w in weights:
+            order = min(pair(w, g.exponents) for g in i.generators)
+            for a in itertools.product(range(7), repeat=i.variable_count):
+                on_boundary += pair(w, a) == order
+                assert in_integral_closure_valuative(
+                    i, Monomial(a), [WeightVector(w)]
+                ) == (pair(w, a) >= order)
     assert on_boundary > 0
 
 
@@ -337,6 +420,38 @@ def test_default_witnesses_shape():
     assert witnesses[0].weights == (Fraction(1), Fraction(0), Fraction(0))
     assert witnesses[3].weights == (Fraction(1), Fraction(1), Fraction(1))
     assert default_witnesses(3, seed=7) == witnesses
+
+
+def test_default_witnesses_follow_the_randint_stream():
+    'the seeded vectors are rng.randint(0, 5) draws, skipping all-zero ones'
+    for n in range(1, 7):
+        for seed in [*range(12), *(f"s{k}" for k in range(12)), "0:closure-wit:3"]:
+            rng = random.Random(f"{seed}:witnesses:{n}")
+            expected = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            expected.append((1,) * n)
+            while len(expected) < n + 51:
+                candidate = tuple(rng.randint(0, 5) for _ in range(n))
+                if any(candidate):
+                    expected.append(candidate)
+            assert [w.weights for w in default_witnesses(n, seed)] == [
+                tuple(map(Fraction, v)) for v in expected
+            ]
+
+
+def test_default_witnesses_pinned_battery():
+    assert [w.weights for w in default_witnesses(3, seed=0)] == [
+        tuple(map(Fraction, v)) for v in [
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (5, 0, 3), (3, 3, 5),
+            (1, 3, 2), (4, 5, 4), (1, 0, 5), (1, 1, 1), (0, 2, 4), (1, 1, 4),
+            (2, 1, 4), (0, 5, 0), (4, 3, 2), (4, 4, 1), (4, 5, 2), (1, 5, 0),
+            (2, 0, 4), (5, 2, 5), (0, 3, 4), (4, 4, 1), (5, 1, 4), (1, 5, 2),
+            (0, 4, 2), (0, 5, 4), (5, 2, 4), (0, 3, 1), (3, 5, 4), (0, 3, 0),
+            (0, 1, 5), (5, 0, 3), (2, 1, 1), (3, 4, 4), (0, 2, 0), (0, 0, 3),
+            (5, 3, 2), (3, 4, 1), (2, 0, 4), (2, 0, 1), (5, 5, 3), (5, 0, 1),
+            (2, 5, 3), (2, 3, 3), (0, 3, 1), (0, 1, 0), (4, 4, 5), (2, 1, 0),
+            (0, 3, 4), (3, 3, 5), (4, 1, 0), (2, 5, 1), (0, 0, 5), (1, 4, 1),
+        ]
+    ]
 
 
 def test_witnesses_never_refute_members():
