@@ -15,7 +15,8 @@ their classes.  Two independent algorithms compute it:
 The two must agree on every input; the verification suite cross-checks
 them on a seeded random corpus.  The subset sum is exponential in n + m,
 so it refuses systems with more than FULTON_SUBSET_LIMIT classes; larger
-systems use the ring route only.
+systems use the ring route only.  The ring route in turn refuses a
+system whose (n + 1) * (n + m) cell updates exceed RING_CELL_LIMIT.
 
 Coefficients are arbitrary-precision integers throughout.
 """
@@ -34,11 +35,16 @@ __all__ = [
     "intersection_number_ring",
     "intersection_number_fulton",
     "FULTON_SUBSET_LIMIT",
+    "RING_CELL_LIMIT",
 ]
 
 # combinations(24, 12) is about 2.7M subsets; beyond that the subset sum
 # stops being a reasonable cross-check and only the ring route runs.
 FULTON_SUBSET_LIMIT = 24
+
+# The p = 200 Lê system (4*10^8 cells) took 15.7 s; under this limit a Lê
+# system takes <= 0.3 s, and classes with huge coefficients up to ~4 s.
+RING_CELL_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,12 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
     it is overwritten.
     """
     n, m = system.ambient_n, system.ambient_m
+    cells = (n + 1) * len(system.classes)
+    if cells > RING_CELL_LIMIT:
+        raise BudgetError(
+            f"ring product refuses {cells} cell updates (limit {RING_CELL_LIMIT})",
+            required=cells,
+        )
     coeffs = [1] + [0] * n
     for j, cls in enumerate(system.classes, 1):
         for u in range(min(j, n), -1, -1):

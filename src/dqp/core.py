@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, CheckError, ValidationError, is_int
+from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
     "DqpParams",
@@ -226,22 +226,14 @@ def polar_multiplicities_sigma1(p: int) -> PolarMultiplicityTable:
 def euler_obstruction_sigma1(p: int) -> int:
     """Euler obstruction at 0 of the degenerate symmetric p x p matrices.
 
-    Computed as the alternating sum of the polar multiplicities, signed
-    so the top-dimensional term is positive, then checked against the
-    parity closed form: 0 for p even, 1 for p odd.
+    0 for p even and 1 for p odd.  By Lê–Teissier it is the alternating
+    sum of the polar multiplicities, signed so the top-dimensional term
+    is positive; :mod:`dqp.verify` compares this value with that sum over
+    the multiplicities the incidence systems compute.
     """
-    table = polar_multiplicities_sigma1(p)
-    top = p * (p + 1) // 2 - 1
-    obstruction = sum(
-        (-1) ** (top - d) * value for d, value in table.entries.items()
-    )
-    expected = p % 2
-    if obstruction != expected:
-        raise CheckError(
-            f"polar alternating sum {obstruction} disagrees with parity value "
-            f"{expected} for p={p}"
-        )
-    return obstruction
+    if not is_int(p) or p < 1:
+        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
+    return p % 2
 
 
 def euler_obstruction_hypersurface(params: DqpParams) -> int:
@@ -252,24 +244,16 @@ def euler_obstruction_hypersurface(params: DqpParams) -> int:
 
         Eu(X) = 1 + (-1)^(n-q) + (-1)^(n-q-1) * Eu(degenerate locus),
 
-    which collapses to 1 + (-1)^(n-q) for p even and to 1 for p odd.
-    The reduction is only established for p > 1; p = 1 is rejected
-    rather than guessed.
+    which collapses to 1 + (-1)^(n-q) for p even and to 1 for p odd;
+    :mod:`dqp.verify` builds the right-hand side from the computed
+    Eu(degenerate locus) and compares.  The reduction is only
+    established for p > 1; p = 1 is rejected rather than guessed.
     """
     if params.p == 1:
         raise ValidationError(
             "p must satisfy p > 1 for the hypersurface Euler obstruction (got p=1)"
         )
-    n, q, p = params.n, params.q, params.p
-    sigma = euler_obstruction_sigma1(p)
-    obstruction = 1 + (-1) ** (n - q) + (-1) ** (n - q - 1) * sigma
-    expected = 1 + (-1) ** (n - q) if p % 2 == 0 else 1
-    if obstruction != expected:
-        raise CheckError(
-            f"fixed-cycle sum {obstruction} disagrees with parity value "
-            f"{expected} for (n,q,p)=({n},{q},{p})"
-        )
-    return obstruction
+    return 1 + (-1) ** (params.n - params.q) if params.p % 2 == 0 else 1
 
 
 def verify_massey_identity(params: DqpParams) -> bool:

@@ -15,19 +15,17 @@ have bidegrees
 and the resulting intersection number is 2^{i-1} * C(p, p-i), the
 multiplicity of the underlying set.  The Lê cycle carries multiplicity
 2, so doubling recovers the closed form 2^i * C(p, p-i) of
-:mod:`dqp.core`.  This module builds those bidegree systems, evaluates
-them through :mod:`dqp.chow`, and expands the generic symmetric
-determinant symbolically to verify that the degenerate-matrix locus has
-multiplicity exactly p at the origin.
+:mod:`dqp.core`.  This module builds those bidegree systems and
+evaluates them through :mod:`dqp.chow`.
 
-The determinant is a Laplace expansion run bottom-up over column
-subsets: the minor on the last k rows and a given set of k columns is
-expanded once and reused by every larger minor that contains it, so one
-expansion computes 2^p minors, where a recursive cofactor expansion
-recomputes each k x k minor p!/k! times.  Exponent vectors are packed
-one byte per variable into a Python int while the expansion runs.  The
-full determinant has 388, 2461 and 18155 terms at p = 6, 7 and 8; the
-next size would have ~150000, so sizes above 8 are refused.
+It also measures the order at the origin of the symmetric determinant,
+the multiplicity of the degenerate-matrix locus, without expanding it:
+on a line t -> t*A through the origin the determinant is a polynomial in
+t of degree at most p, so exact integer determinants at t = 0, ..., p+1
+interpolate it, and its order at t = 0 is the order of the determinant
+along that line.  On a generic line that is the order at the origin.
+A line on which the determinant vanishes identically (det A = 0) is
+redrawn, and the minimum over a few seeded lines is returned.
 
 Genericity of the quadrics and hyperplanes is not witnessed: the count
 is a statement about classes, and the class of a generic representative
@@ -36,38 +34,19 @@ is all the intersection number consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from fractions import Fraction
+from math import factorial
 
 from .chow import Bidegree, BidegreeSystem, intersection_number_ring
-from .errors import BudgetError, ValidationError, is_int
+from .errors import ValidationError, is_int
 
 __all__ = [
-    "SymbolicPolynomial",
     "build_le_system",
     "le_number_via_chow",
     "underlying_multiplicity_via_chow",
-    "generic_symmetric_det",
     "det_multiplicity",
-    "MAX_DET_SIZE",
 ]
-
-# The term count grows ~8x per size (18155 terms at p = 8); larger sizes
-# are refused.
-MAX_DET_SIZE = 8
-
-
-@dataclass(frozen=True)
-class SymbolicPolynomial:
-    """Sparse integer polynomial: exponent vector -> nonzero coefficient."""
-
-    variable_count: int
-    terms: dict[tuple[int, ...], int]
-
-    @property
-    def min_total_degree(self) -> int:
-        if not self.terms:
-            raise ValidationError("the zero polynomial has no order at the origin")
-        return min(sum(e) for e in self.terms)
 
 
 def build_le_system(p: int, i: int) -> BidegreeSystem:
@@ -111,55 +90,64 @@ def le_number_via_chow(p: int, i: int) -> int:
     return 2 * underlying_multiplicity_via_chow(p, i)
 
 
-def _symmetric_variable_index(i: int, j: int, p: int) -> int:
-    """Index of x_{ij} (i <= j, 0-based) in row-major upper-triangle order."""
-    return i * p - i * (i - 1) // 2 + (j - i)
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                # Exact division: each entry is a minor of the input.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
-def generic_symmetric_det(p: int) -> SymbolicPolynomial:
-    """Exact expansion of det of the generic symmetric p x p matrix.
+def _order_at_zero(values: list[int]) -> int:
+    """Order at 0 of the polynomial taking these values at t = 0, 1, ...
 
-    The p(p+1)/2 variables are the upper-triangle entries x_{ij}, i <= j,
-    in row-major order; off-diagonal entries enter as whole variables
-    (order at the origin is invariant under rescaling coordinates, so
-    nothing is lost by avoiding halves).  Homogeneous of degree p.
+    Forward differences give its Newton form, which Horner's rule expands
+    into monomial coefficients; the zero polynomial gets len(values).
     """
-    if not is_int(p) or p < 1:
-        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
-    if p > MAX_DET_SIZE:
-        raise BudgetError(
-            f"symbolic determinant refuses p={p} (limit {MAX_DET_SIZE})",
-            required=p,
-        )
-    nvars = p * (p + 1) // 2
-    # minors[mask] is the minor on the last popcount(mask) rows and the
-    # columns in mask, starting from the empty minor 1.  Each level adds
-    # the row above by Laplace expansion along it, so every minor is
-    # expanded once, not once per path to it.  Exponent vectors are packed
-    # one byte per variable (exponents never exceed p <= MAX_DET_SIZE), so
-    # multiplying by x_v adds 1 << 8v, and to_bytes unpacks them.
-    minors = {0: {0: 1}}
-    for row in range(p - 1, -1, -1):
-        grown: dict[int, dict[int, int]] = {}
-        for mask, minor in minors.items():
-            for c in range(p):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                # (-1)^(position of column c in the enlarged column set)
-                sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
-                shift = 1 << 8 * _symmetric_variable_index(min(row, c), max(row, c), p)
-                target = grown.setdefault(mask | bit, {})
-                for expo, coeff in minor.items():
-                    expo += shift
-                    target[expo] = target.get(expo, 0) + sign * coeff
-        minors = grown
-    (det,) = minors.values()
-    return SymbolicPolynomial(
-        nvars, {tuple(e.to_bytes(nvars, "little")): v for e, v in det.items() if v}
-    )
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    coeffs: list[Fraction] = []
+    for k in reversed(range(len(diffs))):
+        # coeffs * (t - k) + Delta^k / k!
+        coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += Fraction(diffs[k], factorial(k))
+    return next((d for d, c in enumerate(coeffs) if c), len(coeffs))
 
 
 def det_multiplicity(p: int) -> int:
-    """Order at the origin of the symmetric determinant: its minimal total degree."""
-    return generic_symmetric_det(p).min_total_degree
+    """Order at the origin of the determinant of a symmetric p x p matrix.
+
+    The minimum, over three seeded lines t -> t*A, of the order at t = 0
+    of det(t*A), interpolated from exact determinants at t = 0..p+1.  A
+    is an integer symmetric matrix, redrawn while det A = 0; if 100 draws
+    are all singular the line reports p + 2, which no determinant of
+    degree p can reach.
+    """
+    if not is_int(p) or p < 1:
+        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
+    orders = []
+    for line in range(3):
+        rng = random.Random(f"det:{p}:{line}")
+        for _ in range(100):
+            upper = {(r, c): rng.randint(-9, 9) for r in range(p) for c in range(r, p)}
+            a = [[upper[min(r, c), max(r, c)] for c in range(p)] for r in range(p)]
+            values = [
+                _bareiss_det([[t * x for x in row] for row in a]) for t in range(p + 2)
+            ]
+            if values[1]:
+                break
+        orders.append(_order_at_zero(values))
+    return min(orders)

@@ -4,10 +4,13 @@ Every closed form in the package has an independent computational
 route, and these suites drive the two against each other at a
 configurable scale:
 
-  core     closed-form Lê numbers vs the intersection-theory engine,
-           polar entries as halved Lê numbers, the alternating-sum
-           identity against the reduced Euler characteristic, Euler
-           obstruction parity, determinant order at the origin;
+  core     closed-form Lê numbers and polar multiplicities vs the
+           incidence systems of the intersection-theory engine, the
+           closed-form Euler obstructions vs the Lê–Teissier alternating
+           sum of those computed multiplicities, the alternating-sum
+           identity against the reduced Euler characteristic, and the
+           determinant's order at the origin from exact determinants on
+           seeded lines;
   chow     truncated-ring products vs subset-sum intersection numbers
            on seeded random systems, plus the algebraic properties
            (permutation invariance, multilinearity, forced vanishing);
@@ -57,6 +60,17 @@ SWEEP_PRIMES = (3, 5, 7, 11)
 def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
     checks: list[Check] = []
 
+    # Polar multiplicities m^(q-i) from the incidence systems, each evaluated
+    # once; the Euler obstructions need p <= 8 whatever pmax is.  p = 1 has no
+    # incidence system: the locus is the origin of C, stated table {0: 1}.
+    polar_chow: dict[int, dict[int, int]] = {1: {0: 1}}
+    for p in range(2, max(pmax, 8) + 1):
+        q = p * (p + 1) // 2
+        polar_chow[p] = {
+            q - i: le_engine.underlying_multiplicity_via_chow(p, i)
+            for i in range(1, p + 1)
+        }
+
     mismatches: list[tuple[int, int, int, int]] = []
     cases = 0
     for p in range(2, pmax + 1):
@@ -64,7 +78,8 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         table = core.le_numbers(params).entries
         for i in range(1, p + 1):
             cases += 1
-            engine = le_engine.le_number_via_chow(p, i)
+            # The Lê cycle carries multiplicity 2 (le_engine.le_number_via_chow).
+            engine = 2 * polar_chow[p][params.q - i]
             closed = table[params.q - i]
             if engine != closed:
                 mismatches.append((p, i, engine, closed))
@@ -79,10 +94,9 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
 
     halving_bad: list[tuple[int, int]] = []
     for p in range(2, pmax + 1):
-        le = core.le_numbers(core.minimal_params(p)).entries
-        polar = core.polar_multiplicities_sigma1(p).entries
-        for d, m in polar.items():
-            if 2 * m != le[d]:
+        closed = core.polar_multiplicities_sigma1(p).entries
+        for d in range(p * (p + 1) // 2):
+            if closed.get(d) != polar_chow[p].get(d, 0):
                 halving_bad.append((p, d))
     checks.append(
         Check.of(
@@ -111,10 +125,13 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         )
     )
 
-    parity_bad: list[int] = []
-    for p in range(1, 9):
-        if core.euler_obstruction_sigma1(p) != p % 2:
-            parity_bad.append(p)
+    # Lê–Teissier: the Euler obstruction is the alternating sum of the polar
+    # multiplicities, signed so the top dimension p(p+1)/2 - 1 counts +.
+    eu = {
+        p: sum((-1) ** (p * (p + 1) // 2 - 1 - d) * m for d, m in table.items())
+        for p, table in polar_chow.items()
+    }
+    parity_bad = [p for p in range(1, 9) if core.euler_obstruction_sigma1(p) != eu[p]]
     checks.append(
         Check.of(
             "euler-obstruction-parity",
@@ -131,8 +148,8 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         for delta in (p, p + 1, p + 2):
             hyper_cases += 1
             params = core.DqpParams(n=q + delta, q=q, p=p)
-            expected = 1 + (-1) ** delta if p % 2 == 0 else 1
-            if core.euler_obstruction_hypersurface(params) != expected:
+            fixed_cycles = 1 + (-1) ** delta + (-1) ** (delta - 1) * eu[p]
+            if core.euler_obstruction_hypersurface(params) != fixed_cycles:
                 hyper_bad.append((params.n, q, p))
     checks.append(
         Check.of(
@@ -143,15 +160,12 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         )
     )
 
-    det_top = min(pmax, le_engine.MAX_DET_SIZE)
-    det_bad = [
-        p for p in range(1, det_top + 1) if le_engine.det_multiplicity(p) != p
-    ]
+    det_bad = [p for p in range(1, pmax + 1) if le_engine.det_multiplicity(p) != p]
     checks.append(
         Check.of(
             "det-multiplicity",
             not det_bad,
-            f"p = 1..{det_top}",
+            f"p = 1..{pmax}",
             f"failing p: {det_bad}",
         )
     )

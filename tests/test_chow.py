@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from dqp import chow
 from dqp.chow import (
     FULTON_SUBSET_LIMIT,
     Bidegree,
@@ -102,6 +103,15 @@ def test_degenerate_vanishing():
     s = system(1, 2, [(1, 0), (2, 0), (1, 1)])
     assert intersection_number_ring(s) == 0
     assert intersection_number_fulton(s) == 0
+
+
+def test_ring_cell_budget(monkeypatch):
+    'refused from (n+1)*(n+m) before the product; the limit itself is admitted'
+    monkeypatch.setattr(chow, "RING_CELL_LIMIT", 12)
+    assert intersection_number_ring(system(2, 2, [(1, 1)] * 4)) == comb(4, 2)
+    with pytest.raises(BudgetError) as info:
+        intersection_number_ring(system(2, 3, [(1, 1)] * 5))
+    assert info.value.required == 15
 
 
 def test_fulton_budget_refusal():

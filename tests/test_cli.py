@@ -121,6 +121,22 @@ def test_lecycles_builds_and_evaluates_each_system_once(capsys, monkeypatch):
     assert calls == {"build": 5, "ring": 5}
 
 
+def test_lecycles_ring_budget(capsys):
+    'the ring product refuses an oversized Lê system before its loop'
+    started = time.perf_counter()
+    code, out, err = run(capsys, "lecycles", "--p", "400")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cell updates" in err
+    # p = 78 is the largest Lê system under the limit and p = 79 the smallest over it
+    assert run(capsys, "lecycles", "--p", "79", "--i", "1")[0] == 3
+    code, doc, _, _ = run_json(capsys, "lecycles", "--p", "78", "--i", "78")
+    assert code == 0
+    row = doc["results"]["systems"][0]
+    assert row["multiplicity_chow"] == row["multiplicity_closed_form"] == 2**77
+
+
 def test_lecycles_rejects_p1(capsys):
     code, _, err = run(capsys, "lecycles", "--p", "1")
     assert code == 2

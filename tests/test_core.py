@@ -19,7 +19,7 @@ from dqp.chow import Bidegree, BidegreeSystem
 from dqp.errors import BudgetError, ValidationError
 from dqp.ffcount import NormalFormSpec, count_points
 from dqp.integral_closure import Monomial, MonomialIdeal, default_witnesses, power_ideal
-from dqp.le_engine import build_le_system, generic_symmetric_det
+from dqp.le_engine import build_le_system, det_multiplicity
 from dqp.verify import run_verify
 
 
@@ -202,7 +202,7 @@ def test_massey_identity_sweep():
         pytest.param(lambda: NormalFormSpec(p=True), id="spec-bool-p"),
         pytest.param(lambda: NormalFormSpec(p=1, q1=True), id="spec-bool-q1"),
         pytest.param(lambda: polar_multiplicities_sigma1(True), id="polar-bool"),
-        pytest.param(lambda: generic_symmetric_det(True), id="det-bool"),
+        pytest.param(lambda: det_multiplicity(True), id="det-bool"),
         pytest.param(lambda: build_le_system(2, True), id="le-system-bool-i"),
         pytest.param(
             lambda: count_points(NormalFormSpec(p=1), 3, jobs=True), id="jobs-bool"

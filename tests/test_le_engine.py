@@ -5,13 +5,12 @@ from math import comb, prod
 import pytest
 
 from dqp.core import le_numbers, minimal_params, polar_multiplicities_sigma1
-from dqp.errors import BudgetError, ValidationError
+from dqp.errors import ValidationError
 from dqp.le_engine import (
-    MAX_DET_SIZE,
-    SymbolicPolynomial,
+    _bareiss_det,
+    _order_at_zero,
     build_le_system,
     det_multiplicity,
-    generic_symmetric_det,
     le_number_via_chow,
     underlying_multiplicity_via_chow,
 )
@@ -47,7 +46,7 @@ def test_le_number_via_chow_matches_closed_form():
 
 
 def test_underlying_multiplicity_is_half_le_and_polar_entry():
-    for p in range(2, 6):
+    for p in range(2, 21):
         q = p * (p + 1) // 2
         polar = polar_multiplicities_sigma1(p).entries
         for i in range(1, p + 1):
@@ -62,130 +61,118 @@ def test_multiplicity_of_determinantal_slice_is_p():
         assert underlying_multiplicity_via_chow(p, 1) == p
 
 
-def test_symbolic_polynomial_arithmetic():
-    # (x + y)^2 and (x + y)^2 + x
-    square = SymbolicPolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert square.min_total_degree == 2
-    assert SymbolicPolynomial(2, {**square.terms, (1, 0): 1}).min_total_degree == 1
-
-
-def test_zero_polynomial_has_no_degree():
-    zero = SymbolicPolynomial(3, {})
-    with pytest.raises(ValidationError):
-        zero.min_total_degree
-
-
-def test_det_p1_p2():
-    assert generic_symmetric_det(1).terms == {(1,): 1}
-    # variables x11, x12, x22: det = x11 x22 - x12^2
-    assert generic_symmetric_det(2).terms == {(1, 0, 1): 1, (0, 2, 0): -1}
-
-
-def test_det_p3_expansion():
-    'five distinct monomials; the off-diagonal product carries coefficient 2'
-    det = generic_symmetric_det(3)
-    # variables x11 x12 x13 x22 x23 x33
-    assert det.terms == {
-        (1, 0, 0, 1, 0, 1): 1,
-        (1, 0, 0, 0, 2, 0): -1,
-        (0, 2, 0, 0, 0, 1): -1,
-        (0, 1, 1, 0, 1, 0): 2,
-        (0, 0, 2, 1, 0, 0): -1,
-    }
-    assert len(det.terms) == 5
-    assert {sum(e) for e in det.terms} == {3}
-
-
-def _upper_triangle_index(p):
-    'position of x_{ij}, i <= j, among the variables in row-major order'
-    pairs = [(i, j) for i in range(p) for j in range(i, p)]
-    return {pair: pos for pos, pair in enumerate(pairs)}
-
-
-def _leibniz_det(p):
-    'sum over permutations s of sign(s) * prod_r x_{min(r, s r), max(r, s r)}'
-    index = _upper_triangle_index(p)
-    terms = {}
-    for perm in itertools.permutations(range(p)):
+def _leibniz_det(matrix):
+    'sum over permutations s of sign(s) * prod_r matrix[r][s(r)]'
+    size = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(size)):
         inversions = sum(
-            perm[a] > perm[b] for a in range(p) for b in range(a + 1, p)
+            perm[a] > perm[b] for a in range(size) for b in range(a + 1, size)
         )
-        expo = [0] * len(index)
-        for r, c in enumerate(perm):
-            expo[index[(min(r, c), max(r, c))]] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + (-1) ** inversions
-    return {e: c for e, c in terms.items() if c}
+        total += (-1) ** inversions * prod(matrix[r][c] for r, c in enumerate(perm))
+    return total
+
+
+def _seeded_symmetric(rng, size, kind):
+    'generic, zero first pivot (a row swap when nonsingular), or rank < size'
+    if kind == "low-rank":
+        basis = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size - 1)]
+        weights = [rng.choice((-2, -1, 1, 2)) for _ in basis]
+        return [
+            [sum(w * b[r] * b[c] for w, b in zip(weights, basis)) for c in range(size)]
+            for r in range(size)
+        ]
+    matrix = [[0] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r, size):
+            matrix[r][c] = matrix[c][r] = rng.randint(-9, 9)
+    if kind == "zero-pivot":
+        matrix[0][0] = 0
+    return matrix
 
 
 @pytest.mark.parametrize("p", range(1, 8))
 def test_det_matches_leibniz(p):
-    'independent oracle: the permutation sum shares no code with Laplace'
-    assert generic_symmetric_det(p).terms == _leibniz_det(p)
+    'independent oracle: the permutation sum, on seeded symmetric matrices'
+    rng = random.Random(f"bareiss:{p}")
+    seen = {"singular": 0, "swapped": 0}
+    for case in range(45 if p < 6 else 15):
+        kind = ("generic", "zero-pivot", "low-rank")[case % 3]
+        matrix = _seeded_symmetric(rng, p, kind)
+        expected = _leibniz_det(matrix)
+        assert _bareiss_det(matrix) == expected, matrix
+        seen["singular"] += expected == 0
+        seen["swapped"] += kind == "zero-pivot" and expected != 0
+    if p > 1:
+        assert seen["singular"] >= 5 and seen["swapped"] >= 4, seen
 
 
-def _bareiss_det(matrix):
-    'fraction-free Gaussian elimination over the integers'
-    m = [row[:] for row in matrix]
-    size, sign, prev = len(m), 1, 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+def test_det_p1_p2():
+    'closed forms a and a*c - b^2, including a zero first pivot'
+    for a, b, c in itertools.product(range(-3, 4), repeat=3):
+        assert _bareiss_det([[a]]) == a
+        assert _bareiss_det([[a, b], [b, c]]) == a * c - b * b
+    assert det_multiplicity(1) == 1
+    assert det_multiplicity(2) == 2
+
+
+def test_det_p3_expansion():
+    'the five-monomial expansion; the off-diagonal product carries 2'
+    rng = random.Random("det:p3")
+    for case in range(60):
+        kind = ("generic", "zero-pivot", "low-rank")[case % 3]
+        (a, b, c), (_, d, e), (_, _, f) = _seeded_symmetric(rng, 3, kind)
+        expected = a * d * f - a * e * e - b * b * f + 2 * b * c * e - c * c * d
+        assert _bareiss_det([[a, b, c], [b, d, e], [c, e, f]]) == expected
 
 
 def test_det_p8_size_degree_and_value():
-    det = generic_symmetric_det(8)
-    assert det.variable_count == 36
-    assert len(det.terms) == 18155
-    assert {sum(e) for e in det.terms} == {8}
+    'det(t*A) = t^8 det A on a seeded 8 x 8 matrix with 36 free entries'
     rng = random.Random(8)
-    index = _upper_triangle_index(8)
-    values = [rng.randint(-9, 9) for _ in index]
-    matrix = [
-        [values[index[(min(r, c), max(r, c))]] for c in range(8)] for r in range(8)
-    ]
-    at_point = sum(
-        coeff * prod(v**e for v, e in zip(values, expo))
-        for expo, coeff in det.terms.items()
-    )
-    assert at_point == _bareiss_det(matrix) != 0
+    pairs = [(r, c) for r in range(8) for c in range(r, 8)]
+    assert len(pairs) == 36
+    values = {pair: rng.randint(-9, 9) for pair in pairs}
+    matrix = [[values[min(r, c), max(r, c)] for c in range(8)] for r in range(8)]
+    det = _bareiss_det(matrix)
+    assert det == _leibniz_det(matrix) != 0
+    on_line = [_bareiss_det([[t * x for x in row] for row in matrix]) for t in range(10)]
+    assert on_line == [t**8 * det for t in range(10)]
+    assert _order_at_zero(on_line) == 8
 
 
 @pytest.mark.parametrize("p", range(1, 6))
 def test_det_matches_sympy(p):
-    'independent oracle: sympy symbolic determinant of the same matrix'
+    'independent oracle: sympy determinant of the same integer matrices'
     sympy = pytest.importorskip("sympy")
-    names = [
-        sympy.Symbol(f"x{i}{j}") for i in range(p) for j in range(i, p)
-    ]
-    index = _upper_triangle_index(p)
-    matrix = sympy.Matrix(
-        p, p, lambda r, c: names[index[(min(r, c), max(r, c))]]
-    )
-    expanded = sympy.expand(matrix.det(method="berkowitz"))
-    poly = sympy.Poly(expanded, *names)
-    expected = {tuple(monom): int(coeff) for monom, coeff in poly.terms()}
-    assert generic_symmetric_det(p).terms == expected
+    rng = random.Random(f"sympy:{p}")
+    for case in range(30):
+        kind = ("generic", "zero-pivot", "low-rank")[case % 3]
+        matrix = _seeded_symmetric(rng, p, kind)
+        expected = int(sympy.Matrix(matrix).det(method="berkowitz"))
+        assert _bareiss_det(matrix) == expected, matrix
+
+
+def test_order_at_zero_interpolates_exactly():
+    for coeffs in ([5], [0, 0, 3], [0, 0, 0, -7, 2], [1, -1], [0, 0, 0, 0, 0, 9]):
+        values = [
+            sum(c * t**d for d, c in enumerate(coeffs)) for t in range(len(coeffs) + 1)
+        ]
+        order = next(d for d, c in enumerate(coeffs) if c)
+        assert _order_at_zero(values) == order
+
+
+def test_zero_polynomial_has_no_degree():
+    'no finite order: all-zero values report one more than any degree they fit'
+    for count in range(1, 8):
+        assert _order_at_zero([0] * count) == count
 
 
 def test_det_multiplicity_values():
-    for p in range(1, 7):
+    for p in range(1, 13):
         assert det_multiplicity(p) == p
-        # homogeneous of degree p, so the order at the origin is p
-        assert {sum(e) for e in generic_symmetric_det(p).terms} == {p}
 
 
-def test_det_budget():
-    with pytest.raises(BudgetError):
-        generic_symmetric_det(MAX_DET_SIZE + 1)
-    with pytest.raises(ValidationError):
-        generic_symmetric_det(0)
+def test_det_multiplicity_rejects_bad_p():
+    for bad in (0, -1, 2.0, True):
+        with pytest.raises(ValidationError):
+            det_multiplicity(bad)

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from dqp import ffcount
+from dqp import core, ffcount, le_engine
 from dqp.errors import ValidationError
 from dqp.verify import (
     chow_checks,
@@ -45,6 +47,79 @@ def test_off_by_one_histogram_fails_the_count_checks(monkeypatch):
     passed = {check.name: check.passed for check in ffcount_checks(sweep_limit=10**4)}
     assert passed["observed-equals-predicted"] is False
     assert passed["counting-polynomial-euler"] is False
+
+
+def _bump_top_polar_entry(original):
+    def bumped(p):
+        table = original(p)
+        top = max(table.entries)
+        return replace(table, entries={**table.entries, top: table.entries[top] + 1})
+
+    return bumped
+
+
+CORE_CHECKS = (
+    "le-closed-form-vs-chow",
+    "polar-equals-half-le",
+    "massey-alternating-sum",
+    "euler-obstruction-parity",
+    "euler-obstruction-hypersurface",
+    "det-multiplicity",
+)
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, failing",
+    [
+        pytest.param(
+            core, "polar_multiplicities_sigma1", _bump_top_polar_entry,
+            {"polar-equals-half-le"}, id="closed-form-polar-table",
+        ),
+        pytest.param(
+            le_engine, "underlying_multiplicity_via_chow",
+            lambda f: lambda p, i: f(p, i) + ((p, i) == (3, 2)),
+            # (3, 2) feeds the Lê number, the polar entry and both obstructions
+            {
+                "le-closed-form-vs-chow",
+                "polar-equals-half-le",
+                "euler-obstruction-parity",
+                "euler-obstruction-hypersurface",
+            },
+            id="chow-multiplicity",
+        ),
+        pytest.param(
+            core, "euler_obstruction_sigma1", lambda f: lambda p: 1 - f(p),
+            {"euler-obstruction-parity"}, id="closed-form-sigma1-obstruction",
+        ),
+        pytest.param(
+            core, "euler_obstruction_hypersurface",
+            lambda f: lambda params: f(params) + (params.p == 4),
+            {"euler-obstruction-hypersurface"},
+            id="closed-form-hypersurface-obstruction",
+        ),
+        pytest.param(
+            core, "reduced_euler_characteristic", lambda f: lambda params: -f(params),
+            {"massey-alternating-sum"}, id="reduced-euler-characteristic",
+        ),
+        pytest.param(
+            le_engine, "_bareiss_det", lambda f: lambda m: f(m) + (len(m) == 3),
+            {"det-multiplicity"}, id="determinant-helper",
+        ),
+        pytest.param(
+            # every draw singular: the redraw loop gives up instead of hanging
+            le_engine, "_bareiss_det", lambda f: lambda m: 0,
+            {"det-multiplicity"}, id="determinant-helper-all-singular",
+        ),
+    ],
+)
+def test_one_sided_mutation_fails_its_core_check(
+    monkeypatch, module, name, mutate, failing
+):
+    'each side of a core check is computed independently, so breaking one is reported'
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    checks = core_checks(pmax=4)
+    assert [c.name for c in checks] == list(CORE_CHECKS)
+    assert {c.name for c in checks if not c.passed} == failing
 
 
 def test_run_verify_deterministic_for_fixed_seed():
