@@ -23,7 +23,7 @@ from collections import Counter
 
 from . import chow, core, ffcount, integral_closure, le_engine, verify
 from .errors import BudgetError, CheckError, ValidationError
-from .report import Check, Report, dimension_table
+from .report import DEFAULT_PMAX, SCOPES, Check, Report, dimension_table
 
 __all__ = ["main", "build_parser"]
 
@@ -102,6 +102,17 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
         if p < 2:
             raise ValidationError(f"p must satisfy p >= 2 (got p={p})")
         indices = list(range(1, p + 1))
+        # Each ring product is bounded on its own; bound their sum too.  Every
+        # system of le_engine.build_le_system(p, i) has n + 1 = p(p+1)/2 cells
+        # and n + m = p(p+1)/2 + p - 2 classes, whatever i is.
+        half = p * (p + 1) // 2
+        cells = p * half * (half + p - 2)
+        if cells > chow.RING_CELL_LIMIT:
+            raise BudgetError(
+                f"lecycles refuses {cells} ring cell updates over {p} systems "
+                f"(limit {chow.RING_CELL_LIMIT})",
+                required=cells,
+            )
     params = core.minimal_params(p)
     closed = core.le_numbers(params).entries
     polar = core.polar_multiplicities_sigma1(p).entries
@@ -519,13 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[output], help="run the cross-route verification suites"
     )
     p_verify.add_argument(
-        "--scope", choices=verify.SCOPES, default="all", help="which suites to run"
+        "--scope", choices=SCOPES, default="all", help="which suites to run"
     )
     p_verify.add_argument(
         "--pmax",
         type=int,
-        default=verify.DEFAULT_PMAX,
-        help=f"largest matrix size exercised (default {verify.DEFAULT_PMAX}, max 8)",
+        default=DEFAULT_PMAX,
+        help=f"largest matrix size exercised (default {DEFAULT_PMAX}, max 8)",
     )
     p_verify.add_argument(
         "--seed", default="0", help="seed for the randomized suites (default 0)"

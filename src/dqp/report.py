@@ -21,8 +21,13 @@ import json
 from dataclasses import dataclass, field
 
 SCHEMA = "dqp-invariants/1"
+# The verify command's suites and default pmax.  They live here, in a
+# module every command executes, so that building the argument parser does
+# not execute dqp.verify; verify re-exports them under the same names.
+SCOPES = ("all", "core", "chow", "closure", "ffcount")
+DEFAULT_PMAX = 4
 
-__all__ = ["Check", "Report", "SCHEMA", "dimension_table"]
+__all__ = ["Check", "Report", "SCHEMA", "SCOPES", "DEFAULT_PMAX", "dimension_table"]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import time
 
 from . import chow, core, ffcount, integral_closure, le_engine
 from .errors import CheckError, ValidationError, is_int
-from .report import Check, Report
+from .report import DEFAULT_PMAX, SCOPES, Check, Report
 
 __all__ = [
     "SCOPES",
@@ -51,8 +51,6 @@ __all__ = [
     "run_verify",
 ]
 
-SCOPES = ("all", "core", "chow", "closure", "ffcount")
-DEFAULT_PMAX = 4
 DEFAULT_SWEEP_LIMIT = 10**7
 SWEEP_PRIMES = (3, 5, 7, 11)
 

@@ -137,6 +137,36 @@ def test_lecycles_ring_budget(capsys):
     assert row["multiplicity_chow"] == row["multiplicity_closed_form"] == 2**77
 
 
+def test_lecycles_total_cell_budget(capsys):
+    'the p ring products of one call are bounded together, before the first runs'
+    started = time.perf_counter()
+    code, out, err = run(capsys, "lecycles", "--p", "40")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cell updates" in err
+    # p = 32 is the largest p whose p products fit under the limit together
+    assert run(capsys, "lecycles", "--p", "33")[0] == 3
+    code, doc, _, _ = run_json(capsys, "lecycles", "--p", "32")
+    assert code == 0
+    assert [r["i"] for r in doc["results"]["systems"]] == list(range(1, 33))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8])
+def test_lecycles_total_cells_match_the_systems(capsys, monkeypatch, p):
+    'the closed-form total is the sum of the cells of the systems built'
+    from dqp import chow, le_engine
+
+    systems = [le_engine.build_le_system(p, i) for i in range(1, p + 1)]
+    total = sum((s.ambient_n + 1) * len(s.classes) for s in systems)
+    monkeypatch.setattr(chow, "RING_CELL_LIMIT", total)
+    assert run(capsys, "lecycles", "--p", str(p))[0] == 0
+    monkeypatch.setattr(chow, "RING_CELL_LIMIT", total - 1)
+    code, _, err = run(capsys, "lecycles", "--p", str(p))
+    assert code == 3
+    assert f"refuses {total} ring cell updates" in err
+
+
 def test_lecycles_rejects_p1(capsys):
     code, _, err = run(capsys, "lecycles", "--p", "1")
     assert code == 2
