@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm
-from operator import le
+from operator import le, mul
 
 from .errors import BudgetError, ValidationError, is_int
 
@@ -307,7 +307,7 @@ def in_integral_closure_valuative(
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def default_witnesses(variable_count: int, seed: int | str = 0) -> list[WeightVector]:
@@ -347,7 +347,13 @@ def newton_facet_normals(
 
         a in polyhedron  iff  <w, a> >= c for every returned pair
 
-    for any a >= 0.  Extra non-facet supporting pairs may appear; they
+    for any a >= 0.  A hyperplane through k generators and the recession
+    directions outside a coordinate set C of size k has w = 0 off C, and
+    w restricted to C spans the kernel of the k - 1 differences of those
+    generators projected to C.  So each C solves that (k - 1) x k system
+    over the distinct projected points only and writes the normal back
+    into the coordinates C; generators whose projections coincide span
+    no hyperplane there.  Extra non-facet supporting pairs may appear; they
     are valid inequalities and harmless.  Exponential in the variable
     count, hence the hard cap.
     """
@@ -358,18 +364,22 @@ def newton_facet_normals(
             required=comb(len(ideal.generators) + n, n),
         )
     gens = [g.exponents for g in ideal.generators]
-    units = [[int(i == d) for i in range(n)] for d in range(n)]
     found: dict[tuple[int, ...], int] = {}
     for a_size in range(1, n + 1):
-        b_size = n - a_size
-        for subset in itertools.combinations(range(len(gens)), a_size):
-            base = gens[subset[0]]
-            rows = [[e - b for e, b in zip(gens[idx], base)] for idx in subset[1:]]
-            for directions in itertools.combinations(range(n), b_size):
-                system = rows + [units[d] for d in directions]
-                normal = _primitive_nonnegative_kernel(system, n)
-                if normal is not None and normal not in found:
-                    found[normal] = min(_dot(normal, g) for g in gens)
+        for coords in itertools.combinations(range(n), a_size):
+            points = list({tuple(g[i] for i in coords) for g in gens})
+            for subset in itertools.combinations(points, a_size):
+                base = subset[0]
+                rows = [[e - b for e, b in zip(point, base)] for point in subset[1:]]
+                projected = _primitive_nonnegative_kernel(rows, a_size)
+                if projected is None:
+                    continue
+                lifted = [0] * n
+                for i, w in zip(coords, projected):
+                    lifted[i] = w
+                normal = tuple(lifted)
+                if normal not in found:
+                    found[normal] = min(_dot(projected, point) for point in points)
     return sorted(found.items())
 
 

@@ -1,5 +1,6 @@
 import random
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 
@@ -122,3 +123,47 @@ def test_fulton_budget_refusal():
     assert info.value.required == comb(total, 13)
     # the ring algorithm still handles it
     assert intersection_number_ring(s) == comb(total, 13)
+
+
+def _subset_sum_oracle(s):
+    a = [cls.a for cls in s.classes]
+    b = [cls.b for cls in s.classes]
+    return sum(
+        prod(a[i] for i in chosen)
+        * prod(b[j] for j in range(len(a)) if j not in chosen)
+        for chosen in map(set, combinations(range(len(a)), s.ambient_n))
+    )
+
+
+def test_fulton_matches_the_combinations_oracle():
+    'the depth-first walk against a plain sum over itertools.combinations'
+    rng = random.Random("test:fulton-oracle")
+    shapes = {"n=0": 0, "m=0": 0, "zero entry": 0, "forced vanishing": 0}
+    for case in range(1500):
+        total = rng.randint(0, 11)
+        n = rng.randint(0, total)
+        pairs = []
+        for _ in range(total):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            pairs.append((a, b) if a or b else (0, 1))
+        forced = case % 5 == 0 and n >= 1
+        if forced:
+            # m + 1 k-only classes, more than the k-budget m: the number is 0
+            pairs[: total - n + 1] = [(0, rng.randint(1, 4))] * (total - n + 1)
+            shapes["forced vanishing"] += 1
+        s = system(n, total - n, pairs)
+        expected = _subset_sum_oracle(s)
+        assert intersection_number_fulton(s) == expected, (n, pairs)
+        assert expected == 0 or not forced
+        shapes["n=0"] += n == 0
+        shapes["m=0"] += n == total
+        shapes["zero entry"] += any(0 in pair for pair in pairs)
+    assert min(shapes.values()) > 50, shapes
+    assert intersection_number_fulton(system(0, 0, [])) == 1
+
+
+def test_fulton_refuses_25_classes_for_every_n():
+    for n in range(26):
+        with pytest.raises(BudgetError) as info:
+            intersection_number_fulton(system(n, 25 - n, [(1, 1)] * 25))
+        assert info.value.required == comb(25, n)

@@ -230,6 +230,49 @@ def test_kernel_matches_leibniz_oracle():
     assert min(seen.values()) > 100, seen
 
 
+def _full_system_facet_normals(gens, n):
+    'every generator subset with the complementary unit direction rows, n x n minors'
+    found = {}
+    for a_size in range(1, n + 1):
+        for subset in itertools.combinations(gens, a_size):
+            rows = [[e - b for e, b in zip(g, subset[0])] for g in subset[1:]]
+            for directions in itertools.combinations(range(n), n - a_size):
+                units = [[int(i == d) for i in range(n)] for d in directions]
+                normal = _kernel_oracle(_leibniz_minors(rows + units, n))
+                if normal is not None and normal not in found:
+                    found[normal] = min(sum(map(int.__mul__, normal, g)) for g in gens)
+    return sorted(found.items())
+
+
+def test_facet_normals_match_the_full_system_oracle():
+    'projected systems give the normals of the full systems with unit direction rows'
+    rng = random.Random("test:facet-oracle")
+    coinciding = 0
+    for case in range(2000):
+        n = 1 + case % 4
+        high = rng.choice([1, 2, 4])
+        gens = [[rng.randint(0, high) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        if n > 2 and case % 2 == 0:
+            # minimal generators differ in two coordinates at least, so
+            # shift a copy up along one axis and the original along
+            # another: they coincide on every coordinate set omitting both
+            j, k = rng.sample(range(n), 2)
+            moved = list(gens[0])
+            moved[k] += rng.randint(1, 3)
+            gens[0][j] += rng.randint(1, 3)
+            gens.append(moved)
+        i = ideal(*gens)
+        points = [g.exponents for g in i.generators]
+        if any(
+            len({tuple(g[c] for c in coords) for g in points}) < len(points)
+            for size in range(1, n)
+            for coords in itertools.combinations(range(n), size)
+        ):
+            coinciding += 1
+        assert newton_facet_normals(i) == _full_system_facet_normals(points, n), gens
+    assert coinciding > 400, coinciding
+
+
 def test_kernel_refuses_minors_past_three_by_three():
     with pytest.raises(ValidationError, match="3 x 3"):
         _primitive_nonnegative_kernel([[1, 0, 0, 0, 0]] * 4, 5)

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from dqp import core, ffcount, le_engine
+from dqp import core, ffcount, integral_closure, le_engine
 from dqp.errors import ValidationError
 from dqp.verify import (
+    _square_reduction_pair,
     chow_checks,
     closure_checks,
     core_checks,
@@ -47,6 +48,41 @@ def test_off_by_one_histogram_fails_the_count_checks(monkeypatch):
     passed = {check.name: check.passed for check in ffcount_checks(sweep_limit=10**4)}
     assert passed["observed-equals-predicted"] is False
     assert passed["counting-polynomial-euler"] is False
+
+
+def test_one_wrong_base_count_fails_every_row_of_its_pair(monkeypatch):
+    'one count serves all q1 of a (p, prime) pair, so each of its rows reports it'
+    original = ffcount.count_points
+
+    def bumped(spec, prime, *args, **kwargs):
+        report = original(spec, prime, *args, **kwargs)
+        if (spec.p, prime) == (2, 5):
+            report = replace(report, observed_count=report.observed_count + 1)
+        return report
+
+    monkeypatch.setattr(ffcount, "count_points", bumped)
+    checks = {check.name: check for check in ffcount_checks()}
+    # p = 2 has n = 5 + q1, and 5^(5 + q1) <= 10^7 for q1 = 0..5
+    rows = [(2, q1, 5) for q1 in range(6)]
+    assert checks["observed-equals-predicted"].detail == (
+        f"disagreeing (p, q1, prime): {rows}"
+    )
+    assert not checks["observed-equals-predicted"].passed
+
+
+def test_a_failing_whole_chain_fails_every_transitivity_case(monkeypatch):
+    'squares -> squared is checked once per p and reported for each of its chains'
+    pairs = {_square_reduction_pair(p) for p in range(2, 5)}
+    original = integral_closure.is_reduction
+    monkeypatch.setattr(
+        integral_closure,
+        "is_reduction",
+        lambda sub, full: (sub, full) not in pairs and original(sub, full),
+    )
+    checks = {check.name: check for check in closure_checks()}
+    cases = [(p, c) for p in range(2, 5) for c in range(5)]
+    assert checks["reduction-transitivity"].detail == f"failing (p, case): {cases}"
+    assert not checks["reduction-transitivity"].passed
 
 
 def _bump_top_polar_entry(original):
