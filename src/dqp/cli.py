@@ -351,7 +351,8 @@ def cmd_closure(args: argparse.Namespace) -> Report:
                 "finite curve battery cannot refute a Newton member",
             )
         )
-        if variable_count <= integral_closure.FACET_VARIABLE_LIMIT:
+        bound = integral_closure.facet_ray_bound(variable_count, len(ideal.generators))
+        if bound <= integral_closure.FACET_RAY_LIMIT:
             facets = integral_closure.in_integral_closure_facets(ideal, m)
             results["facet_route"] = facets
             checks.append(

@@ -12,11 +12,12 @@ the valuative criterion: x^a is in the closure iff for every monomial
 curve t -> (t^{w_1}, ..., t^{w_n}) with w >= 0 the pullback order
 <w, a> is at least the minimal generator order min_g <w, g>.  Checking
 finitely many weight vectors is only a falsification tool in general,
-but checking the facet normals of the Newton polyhedron is complete, and
-those normals are enumerable exactly in low dimension, as signed maximal
-minors of integer systems.  Both routes run in plain int: a weight vector
-is held as integer numerators over one denominator, and the minors, never
-larger than 3 x 3 under FACET_VARIABLE_LIMIT, use closed forms.
+but checking the facet normals of the Newton polyhedron is complete.
+Those normals are the extreme rays of a pointed cone, enumerated exactly
+by the double description method in any number of variables, under one
+ray budget (FACET_RAY_LIMIT) checked before any ray is built.  Both
+routes run in plain int: a weight vector is held as integer numerators
+over one denominator, and every ray is a primitive integer vector.
 
 The reduction test (same integral closure, equivalently finite induced
 blow-up) is what makes the two-variable-block germ computations work:
@@ -30,9 +31,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import comb, gcd, lcm
-from operator import le, mul
+from operator import and_, le, mul
 
 from .errors import BudgetError, ValidationError, is_int
 
@@ -47,17 +48,16 @@ __all__ = [
     "newton_facet_normals",
     "default_witnesses",
     "is_reduction",
-    "reduction_generator_count",
-    "blowup_fiber_bound",
-    "FACET_VARIABLE_LIMIT",
+    "facet_ray_bound",
+    "FACET_RAY_LIMIT",
     "NEWTON_CELL_LIMIT",
     "require_newton_tableau",
     "DEFAULT_RANDOM_WITNESSES",
 ]
 
-# Facet enumeration brute-forces generator subsets; past 4 variables the
-# subset count stops being "tiny".
-FACET_VARIABLE_LIMIT = 4
+# Caps facet_ray_bound(n, g); it admits every input in 4 or fewer variables
+# that NEWTON_CELL_LIMIT admits (195 generators in 4 variables bound 19,502).
+FACET_RAY_LIMIT = 19502
 
 # The Newton simplex's tableau has n + 1 rows of g + n + 1 integer cells
 # (n variables, g generators) and every pivot rewrites all of them.  The
@@ -334,90 +334,104 @@ def default_witnesses(variable_count: int, seed: int | str = 0) -> list[WeightVe
     return witnesses
 
 
+def facet_ray_bound(variable_count: int, generator_count: int) -> int:
+    """Upper-bound-theorem cap on the rays of the facet route's cone.
+
+    A slice of the cone is an n-polytope with at most g + n facets, so it
+    has no more vertices than the cyclic n-polytope with g + n vertices
+    has facets (McMullen).  Every intermediate cone has fewer rows.
+    """
+    rows, half = generator_count + variable_count, variable_count // 2
+    if variable_count % 2:
+        return 2 * comb(rows - half - 1, half)
+    return comb(rows - half, half) + comb(rows - half - 1, half - 1)
+
+
 def newton_facet_normals(
     ideal: MonomialIdeal,
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Supporting data (primitive normal, support value) for the Newton polyhedron.
+    """Facets of the Newton polyhedron as sorted (primitive normal, support) pairs.
 
-    Enumerates every hyperplane spanned by a subset of generator points
-    together with a subset of coordinate recession directions, keeps the
-    ones with a nonnegative normal, and records c = min_g <w, g>.  Every
-    facet arises this way (each facet contains a vertex, and its affine
-    hull is spanned by the generators and recession rays it contains), so
+    The valid inequalities <w, x> >= c form the pointed cone
+    C = {(w, c) : w >= 0, <w, g> >= c for every generator g}, whose extreme
+    rays are the facets, with c = min_g <w, g>, and the ray (0, -1).  So
 
-        a in polyhedron  iff  <w, a> >= c for every returned pair
+        a in polyhedron  iff  <w, a> >= c for every returned pair.
 
-    for any a >= 0.  A hyperplane through k generators and the recession
-    directions outside a coordinate set C of size k has w = 0 off C, and
-    w restricted to C spans the kernel of the k - 1 differences of those
-    generators projected to C.  So each C solves that (k - 1) x k system
-    over the distinct projected points only and writes the normal back
-    into the coordinates C; generators whose projections coincide span
-    no hyperplane there.  Extra non-facet supporting pairs may appear; they
-    are valid inequalities and harmless.  Exponential in the variable
-    count, hence the hard cap.
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996) starts from the simplicial cone of rows
+    e_1..e_n and (g_1, -1), with rays (e_j, g_1j) and (0, -1); `_cut` adds
+    the other generators' rows, in exact int.  Refuses, before reading any
+    generator, a ray bound past FACET_RAY_LIMIT.
     """
-    n = ideal.variable_count
-    if n > FACET_VARIABLE_LIMIT:
+    n, count = ideal.variable_count, len(ideal.generators)
+    bound = facet_ray_bound(n, count)
+    if bound > FACET_RAY_LIMIT:
         raise BudgetError(
-            f"facet enumeration refuses {n} variables (limit {FACET_VARIABLE_LIMIT})",
-            required=comb(len(ideal.generators) + n, n),
+            f"facet enumeration in {n} variables with {count} generators "
+            f"may hold {bound} rays (limit {FACET_RAY_LIMIT})",
+            required=bound,
         )
-    gens = [g.exponents for g in ideal.generators]
-    found: dict[tuple[int, ...], int] = {}
-    for a_size in range(1, n + 1):
-        for coords in itertools.combinations(range(n), a_size):
-            points = list({tuple(g[i] for i in coords) for g in gens})
-            for subset in itertools.combinations(points, a_size):
-                base = subset[0]
-                rows = [[e - b for e, b in zip(point, base)] for point in subset[1:]]
-                projected = _primitive_nonnegative_kernel(rows, a_size)
-                if projected is None:
-                    continue
-                lifted = [0] * n
-                for i, w in zip(coords, projected):
-                    lifted[i] = w
-                normal = tuple(lifted)
-                if normal not in found:
-                    found[normal] = min(_dot(projected, point) for point in points)
-    return sorted(found.items())
-
-
-def _primitive_nonnegative_kernel(
-    system: list[list[int]], n: int
-) -> tuple[int, ...] | None:
-    """Primitive kernel generator of an (n - 1) x n integer system, sign-fixed >= 0.
-
-    The signed maximal minors span the kernel when the rank is n - 1 and
-    all vanish otherwise.  Returns None if the kernel is not a line or no
-    sign choice is componentwise nonnegative.
-    """
-    minors = [
-        (-1) ** j * _det([row[:j] + row[j + 1 :] for row in system]) for j in range(n)
+    first, *others = (g.exponents for g in ideal.generators)
+    # Bit j < n of a zero set is the row w_j >= 0; bit n + k is generator k's.
+    units = (1 << n) - 1
+    rays = [((0,) * n, -1, units)] + [
+        (tuple(int(i == j) for i in range(n)), first[j], units ^ (1 << j) | (1 << n))
+        for j in range(n)
     ]
-    common = gcd(*minors)
-    if common == 0:
-        return None
-    ints = [v // common for v in minors]
-    if all(v <= 0 for v in ints):
-        ints = [-v for v in ints]
-    if any(v < 0 for v in ints):
-        return None
-    return tuple(ints)
+    for row, g in enumerate(others, start=n + 1):
+        rays = _cut(rays, g, 1 << row, n)
+    return sorted((w, c) for w, c, _ in rays if any(w))
 
 
-def _det(matrix: list[list[int]]) -> int:
-    """Integer determinant in closed form, up to the 3 x 3 facet minors need."""
-    size = len(matrix)
-    if size < 2:
-        return matrix[0][0] if matrix else 1
-    if size == 2:
-        (a, b), (c, d) = matrix
-        return a * d - b * c
-    if size == 3:
-        (a, b, c), (d, e, f), (g, h, i) = matrix
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise ValidationError(f"no closed-form {size} x {size} determinant (max 3 x 3)")
+def _cut(
+    rays: list[tuple[tuple[int, ...], int, int]], g: tuple[int, ...], bit: int, n: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """One double-description step: the extreme rays of the cone cut by <w, g> >= c.
+
+    A ray is (w, c, zero set), the zero set an int bitmask of the rows it
+    meets with equality; sets of rays are int bitmasks over ray indices.
+    Rays with <w, g> >= c stay, and each adjacent pair of a positive and a
+    negative ray adds the ray where their segment meets the row.  Adjacent
+    means the combinatorial test: they share at least n - 1 zero rows (the
+    cone has dimension n + 1), and no third ray is zero on all of those.
+    """
+    values = [_dot(w, g) - c for w, c, _ in rays]
+    holders = [0] * bit.bit_length()  # holders[j]: the rays zero on row j
+    positive, every, kept = 0, (1 << len(rays)) - 1, []
+    for i, (w, c, zeros) in enumerate(rays):
+        for j in _bits(zeros):
+            holders[j] |= 1 << i
+        if values[i] > 0:
+            positive |= 1 << i
+            kept.append((w, c, zeros))
+        elif values[i] == 0:
+            kept.append((w, c, zeros | bit))
+    for iq in [i for i, value in enumerate(values) if value < 0]:
+        (wq, cq, zq), vq = rays[iq], values[iq]
+        # at_least[k]: the rays sharing at least k of q's zero rows.
+        at_least = [every] + [0] * (n - 1)
+        for j in _bits(zq):
+            for k in range(n - 1, 0, -1):
+                at_least[k] |= at_least[k - 1] & holders[j]
+        for ip in _bits(at_least[-1] & positive):
+            (wp, cp, zp), vp = rays[ip], values[ip]
+            common = zp & zq
+            inside = reduce(and_, map(holders.__getitem__, _bits(common)), every)
+            if inside != (1 << ip) | (1 << iq):
+                continue
+            w = [vp * a - vq * b for a, b in zip(wq, wp)]
+            c = vp * cq - vq * cp
+            scale = gcd(c, *w)
+            kept.append((tuple(v // scale for v in w), c // scale, common | bit))
+    return kept
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def in_integral_closure_facets(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -439,19 +453,3 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     if not all(full.contains_monomial(g) for g in sub.generators):
         return False
     return all(in_integral_closure_newton(sub, g) for g in full.generators)
-
-
-def reduction_generator_count(p: int) -> int:
-    """Generators needed for a reduction of the Jacobian-type ideal: 2p.
-
-    For the minimal germ the ideal of y-partials plus the squares
-    y_1^2, ..., y_p^2 is a reduction, giving p + p = 2p generators.
-    """
-    if not is_int(p) or p < 1:
-        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
-    return 2 * p
-
-
-def blowup_fiber_bound(p: int) -> int:
-    """Fiber-dimension bound for the blow-up along a 2p-generator reduction."""
-    return reduction_generator_count(p) - 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import time
@@ -207,6 +208,49 @@ def test_closure_membership(capsys):
     assert code == 0
     assert doc["results"]["member"] is True
     assert doc["results"]["facet_route"] is True
+
+
+def _degree_ideal(variables, degree):
+    'every monomial of one degree in y1..y<variables>, as --ideal text'
+    return ",".join(
+        "*".join(f"y{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        for exps in itertools.product(range(degree + 1), repeat=variables)
+        if sum(exps) == degree
+    )
+
+
+@pytest.mark.parametrize(
+    "ideal, monomial, member",
+    [
+        pytest.param(_degree_ideal(4, 6), "y1^2*y2^2*y3*y4", True, id="84-sextics-member"),
+        pytest.param(_degree_ideal(4, 6), "y1^2*y2^2*y3", False, id="84-sextics-non-member"),
+        pytest.param(_degree_ideal(4, 8), "y1^2*y2^2*y3^2*y4^2", True, id="165-octics-member"),
+        pytest.param(_degree_ideal(4, 8), "y1^7", False, id="165-octics-non-member"),
+        pytest.param(
+            "y1^2,y2^2,y3^2,y4^2,y5^2,y6^2", "y1*y2*y3*y4*y5*y6", True, id="6-variables"
+        ),
+    ],
+)
+def test_closure_runs_the_facet_route_within_the_ray_budget(capsys, ideal, monomial, member):
+    'many generators or more than 4 variables, answered by both routes in well under 2 s'
+    started = time.perf_counter()
+    code, doc, _, _ = run_json(capsys, "closure", "--ideal", ideal, "--monomial", monomial)
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert doc["results"]["member"] is member
+    assert doc["results"]["facet_route"] is member
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_closure_past_the_ray_budget_answers_with_newton_alone(capsys):
+    'all 56 cubics in 6 variables may need 34162 rays: no facet route, no refusal'
+    code, doc, _, _ = run_json(
+        capsys, "closure", "--ideal", _degree_ideal(6, 3), "--monomial", "y1*y2*y3"
+    )
+    assert code == 0
+    assert doc["results"]["member"] is True
+    assert "facet_route" not in doc["results"]
+    assert [c["name"] for c in doc["checks"]] == ["witness-refutation-soundness"]
 
 
 def test_closure_non_member(capsys):

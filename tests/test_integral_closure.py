@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,21 +9,19 @@ import pytest
 
 from dqp.errors import BudgetError, ValidationError
 from dqp.integral_closure import (
-    FACET_VARIABLE_LIMIT,
+    FACET_RAY_LIMIT,
     NEWTON_CELL_LIMIT,
     Monomial,
     MonomialIdeal,
     WeightVector,
-    _primitive_nonnegative_kernel,
-    blowup_fiber_bound,
     default_witnesses,
+    facet_ray_bound,
     in_integral_closure_facets,
     in_integral_closure_newton,
     in_integral_closure_valuative,
     is_reduction,
     newton_facet_normals,
     power_ideal,
-    reduction_generator_count,
 )
 from dqp.verify import _random_ideal, _random_monomial
 
@@ -143,36 +142,19 @@ def test_facet_normals_of_square_ideal():
 
 
 def test_facet_normals_pinned():
-    'full lists as the rational Gauss-Jordan kernel gave them'
+    'the true facets only, with no merely supporting pair such as ((5, 4), 13)'
     assert newton_facet_normals(ideal([4, 0], [1, 2], [0, 5])) == [
-        ((0, 1), 0), ((1, 0), 0), ((2, 3), 8), ((3, 1), 5), ((5, 4), 13),
+        ((0, 1), 0), ((1, 0), 0), ((2, 3), 8), ((3, 1), 5),
     ]
     assert newton_facet_normals(
         ideal([3, 0, 0], [0, 2, 1], [1, 1, 1], [0, 0, 4], [2, 2, 0])
     ) == [
-        ((0, 0, 1), 0), ((0, 1, 0), 0), ((0, 1, 1), 0), ((0, 2, 1), 0),
-        ((0, 3, 1), 0), ((0, 3, 2), 0), ((1, 0, 0), 0), ((1, 0, 1), 1),
-        ((1, 0, 2), 2), ((1, 0, 3), 2), ((1, 1, 0), 0), ((1, 1, 1), 3),
-        ((1, 1, 2), 3), ((1, 2, 0), 0), ((1, 3, 2), 3), ((2, 0, 1), 1),
-        ((2, 1, 0), 0), ((2, 1, 3), 5), ((2, 1, 4), 6), ((2, 3, 0), 0),
-        ((3, 0, 1), 1), ((3, 3, 2), 8), ((4, 0, 3), 3), ((4, 2, 3), 7),
-        ((4, 5, 3), 12), ((8, 9, 6), 23),
+        ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 0, 2), 2),
+        ((1, 1, 1), 3), ((2, 1, 4), 6), ((3, 3, 2), 8), ((4, 5, 3), 12),
     ]
     assert newton_facet_normals(ideal([2, 0, 0], [1, 1, 0], [0, 2, 0])) == [
         ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 0), 2),
     ]
-
-
-def test_rank_deficient_systems_yield_no_normal():
-    'collinear generators, a repeated recession direction, or a difference along one'
-    assert _primitive_nonnegative_kernel([[-1, 1, 0], [-2, 2, 0]], 3) is None
-    assert _primitive_nonnegative_kernel([[1, 0, 0], [1, 0, 0]], 3) is None
-    assert _primitive_nonnegative_kernel([[3, 0, 0], [1, 0, 0]], 3) is None
-    assert _primitive_nonnegative_kernel([[0, 0]], 2) is None
-    # a kernel line with mixed signs is not a supporting normal
-    assert _primitive_nonnegative_kernel([[1, 1]], 2) is None
-    assert _primitive_nonnegative_kernel([[-2, 4, 0], [0, 0, 1]], 3) == (2, 1, 0)
-    assert _primitive_nonnegative_kernel([], 1) == (1,)
 
 
 def _leibniz_det(matrix):
@@ -206,30 +188,6 @@ def _kernel_oracle(minors):
     return tuple(v // gcd(*minors) for v in minors)
 
 
-def test_kernel_matches_leibniz_oracle():
-    'closed-form minors against permutation-sum determinants on seeded systems'
-    rng = random.Random("test:kernel-oracle")
-    seen = {"rank-deficient": 0, "mixed-sign": 0, "normal": 0}
-    for case in range(2400):
-        n = 1 + case % 4
-        system = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
-        if n > 2 and case % 3 == 0:
-            # a multiple of another row, so the rank drops below n - 1
-            k = rng.randint(-2, 2)
-            system[-1] = [k * v for v in system[0]]
-        minors = _leibniz_minors(system, n)
-        expected = _kernel_oracle(minors)
-        assert _primitive_nonnegative_kernel(system, n) == expected, system
-        if expected is None:
-            seen["mixed-sign" if any(minors) else "rank-deficient"] += 1
-        else:
-            seen["normal"] += 1
-            assert gcd(*expected) == 1 and min(expected) >= 0
-            for row in system:
-                assert sum(a * b for a, b in zip(row, expected)) == 0
-    assert min(seen.values()) > 100, seen
-
-
 def _full_system_facet_normals(gens, n):
     'every generator subset with the complementary unit direction rows, n x n minors'
     found = {}
@@ -244,8 +202,19 @@ def _full_system_facet_normals(gens, n):
     return sorted(found.items())
 
 
+def _accepted(pairs, side, n):
+    'which points of the box {0..side - 1}^n, in product order, satisfy every pair'
+    rows = []
+    for w, c in pairs:
+        values = [0]
+        for weight in w:
+            values = [v + weight * x for v in values for x in range(side)]
+        rows.append([v >= c for v in values])
+    return list(map(all, zip(*rows)))
+
+
 def test_facet_normals_match_the_full_system_oracle():
-    'projected systems give the normals of the full systems with unit direction rows'
+    'each facet is a supporting pair of some full system, and both lists cut out one box'
     rng = random.Random("test:facet-oracle")
     coinciding = 0
     for case in range(2000):
@@ -269,13 +238,12 @@ def test_facet_normals_match_the_full_system_oracle():
             for coords in itertools.combinations(range(n), size)
         ):
             coinciding += 1
-        assert newton_facet_normals(i) == _full_system_facet_normals(points, n), gens
+        facets = newton_facet_normals(i)
+        oracle = _full_system_facet_normals(points, n)
+        assert set(facets) <= set(oracle), gens
+        side = max(map(max, points)) + 2
+        assert _accepted(facets, side, n) == _accepted(oracle, side, n), gens
     assert coinciding > 400, coinciding
-
-
-def test_kernel_refuses_minors_past_three_by_three():
-    with pytest.raises(ValidationError, match="3 x 3"):
-        _primitive_nonnegative_kernel([[1, 0, 0, 0, 0]] * 4, 5)
 
 
 def test_facet_route_agrees_on_knowns():
@@ -284,11 +252,81 @@ def test_facet_route_agrees_on_knowns():
     assert not in_integral_closure_facets(k, Monomial((1, 1)))
 
 
+class _Unreadable:
+    'a generator stub: reading its exponents is where building a ray would start'
+
+    @property
+    def exponents(self):
+        raise AssertionError("a generator was read")
+
+
 def test_facet_budget():
-    wide = ideal([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
-    with pytest.raises(BudgetError):
-        newton_facet_normals(wide)
-    assert FACET_VARIABLE_LIMIT == 4
+    'the ray bound admits every input of 4 or fewer variables the Newton tableau admits'
+    assert FACET_RAY_LIMIT == facet_ray_bound(4, 195) == 19502
+    for n in range(1, 5):
+        most = 1000 // (n + 1) - n - 1
+        assert facet_ray_bound(n, most) <= FACET_RAY_LIMIT
+    assert facet_ray_bound(4, 196) > FACET_RAY_LIMIT
+    degree_nine = [e for e in itertools.product(range(10), repeat=4) if sum(e) == 9]
+    largest = ideal(*degree_nine[:195])
+    for e in degree_nine[195:]:
+        m = Monomial(e)
+        assert in_integral_closure_facets(largest, m) == in_integral_closure_newton(largest, m)
+    over = MonomialIdeal(4, (Monomial((1, 0, 0, 0)),))
+    object.__setattr__(over, "generators", (_Unreadable(),) * 196)
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        newton_facet_normals(over)
+    assert time.perf_counter() - started < 1
+    assert info.value.required == facet_ray_bound(4, 196)
+
+
+def test_facet_ray_bound_closed_forms():
+    'a simplex, polygons, 3-polytopes, and no more rays than the bound allows'
+    for n in range(1, 12):
+        assert facet_ray_bound(n, 1) == n + 1
+    for g in range(1, 40):
+        assert facet_ray_bound(1, g) == 2
+        assert facet_ray_bound(2, g) == g + 2
+        assert facet_ray_bound(3, g) == 2 * (g + 3) - 4
+
+
+def _rank_mod(rows, prime=(1 << 61) - 1):
+    'rank modulo a prime: never above the rank over the rationals'
+    rows = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, prime)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inverse % prime
+            rows[r] = [(a - factor * b) % prime for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_every_returned_pair_is_a_facet():
+    'tight rows of rank n make (w, c) an extreme ray of the cone, so a facet'
+    for case in range(400):
+        rng = random.Random(f"test:facet-rank:{case}")
+        n = 1 + case % 8
+        gens = [[rng.randint(0, rng.choice([1, 2, 4])) for _ in range(n)] for _ in range(8)]
+        i = ideal(*gens)
+        points = [g.exponents for g in i.generators]
+        pairs = newton_facet_normals(i)
+        # the facets and the trivial ray (0, -1)
+        assert len(pairs) + 1 <= facet_ray_bound(n, len(points))
+        for w, c in pairs:
+            assert gcd(*w) == 1 and min(w) >= 0, (gens, w)
+            pairing = [sum(map(int.__mul__, w, g)) for g in points]
+            assert min(pairing) == c, (gens, w, c)
+            tight = [list(g) + [-1] for g, v in zip(points, pairing) if v == c]
+            tight += [[int(j == k) for j in range(n)] + [0] for k in range(n) if not w[k]]
+            # rank n modulo a prime forces rank n: the rows all vanish on (w, c)
+            assert _rank_mod(tight) == n, (gens, w, c)
 
 
 def test_newton_cell_budget():
@@ -321,13 +359,15 @@ def diagonal_with_redundant(rng, a, extra):
 
 
 def test_newton_diagonal_oracle_beyond_facet_limit():
-    'five to eight variables, where the facet route refuses'
+    'five to eight variables: both routes against the diagonal oracle'
     for case in range(120):
         rng = random.Random(f"test:closure-diag:{case}")
         a = [rng.randint(1, 9) for _ in range(rng.randint(5, 8))]
         i = diagonal_with_redundant(rng, a, rng.randint(0, 6))
         e = tuple(rng.randint(0, d) for d in a)
-        assert in_integral_closure_newton(i, Monomial(e)) == in_diagonal_closure(a, e)
+        expected = in_diagonal_closure(a, e)
+        assert in_integral_closure_newton(i, Monomial(e)) == expected
+        assert in_integral_closure_facets(i, Monomial(e)) == expected
 
 
 def test_newton_diagonal_oracle_large_exponents():
@@ -540,14 +580,3 @@ def test_reduction_fails_when_not_contained():
     sub = ideal([1, 1])
     full = squares_ideal(2)
     assert not is_reduction(sub, full)
-
-
-def test_reduction_counts():
-    assert reduction_generator_count(1) == 2
-    assert reduction_generator_count(2) == 4
-    assert reduction_generator_count(3) == 6
-    assert blowup_fiber_bound(1) == 1
-    assert blowup_fiber_bound(2) == 3
-    assert blowup_fiber_bound(3) == 5
-    with pytest.raises(ValidationError):
-        reduction_generator_count(0)

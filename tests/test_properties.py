@@ -9,8 +9,11 @@ from hypothesis import strategies as st  # noqa: E402
 from dqp.chow import Bidegree, BidegreeSystem, intersection_number_ring  # noqa: E402
 from dqp.cli import _monomial_string, _parse_classes, _parse_monomial_text  # noqa: E402
 from dqp.integral_closure import (  # noqa: E402
+    FACET_RAY_LIMIT,
     Monomial,
     MonomialIdeal,
+    facet_ray_bound,
+    in_integral_closure_facets,
     in_integral_closure_newton,
 )
 
@@ -75,3 +78,21 @@ def test_chow_linear_in_first_class(ambient, first, second, rest):
 
     summed = number(first[0] + second[0], first[1] + second[1])
     assert summed == number(*first) + number(*second)
+
+
+@SMALL
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=8),
+            st.lists(st.integers(0, 7), min_size=n, max_size=n),
+        )
+    )
+)
+def test_closure_facet_route_agrees_with_newton(case):
+    gens, exponents = case
+    n = len(exponents)
+    ideal = MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens))
+    assert facet_ray_bound(n, len(ideal.generators)) <= FACET_RAY_LIMIT
+    m = Monomial(tuple(exponents))
+    assert in_integral_closure_facets(ideal, m) == in_integral_closure_newton(ideal, m)

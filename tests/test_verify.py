@@ -158,6 +158,19 @@ def test_one_sided_mutation_fails_its_core_check(
     assert {c.name for c in checks if not c.passed} == failing
 
 
+def test_skipping_one_generator_row_fails_the_facet_check(monkeypatch):
+    'the facet route builds its rays apart from the Newton simplex, so breaking them is reported'
+    cut = integral_closure._cut
+    # the cone never meets the second generator's row, so it keeps invalid rays
+    monkeypatch.setattr(
+        integral_closure,
+        "_cut",
+        lambda rays, g, bit, n: rays if bit == 1 << (n + 1) else cut(rays, g, bit, n),
+    )
+    failing = {c.name for c in closure_checks() if not c.passed}
+    assert failing == {"newton-vs-facet-enumeration"}
+
+
 def test_run_verify_deterministic_for_fixed_seed():
     first = run_verify(scope="chow", seed="s1")
     second = run_verify(scope="chow", seed="s1")
