@@ -140,7 +140,8 @@ class MonomialIdeal:
     def contains_monomial(self, m: Monomial) -> bool:
         """Plain ideal membership: some generator divides m."""
         self._check_dimension(m)
-        return any(g.divides(m) for g in self.generators)
+        e = m.exponents
+        return any(all(map(le, g.exponents, e)) for g in self.generators)
 
     def _check_dimension(self, m: Monomial) -> None:
         if m.variable_count != self.variable_count:
@@ -444,12 +445,21 @@ def in_integral_closure_facets(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 
 def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
-    """True iff sub sits inside full and full's generators are integral over sub."""
+    """True iff sub sits inside full and full's generators are integral over sub.
+
+    A generator of full that sub already contains needs no simplex, since
+    an ideal lies in its integral closure.  The tableau budget is checked
+    first, so an oversized sub is refused whichever generators skip it.
+    """
     if sub.variable_count != full.variable_count:
         raise ValidationError(
             f"cannot compare ideals in {sub.variable_count} and "
             f"{full.variable_count} variables"
         )
+    require_newton_tableau(sub.variable_count, len(sub.generators))
     if not all(full.contains_monomial(g) for g in sub.generators):
         return False
-    return all(in_integral_closure_newton(sub, g) for g in full.generators)
+    return all(
+        sub.contains_monomial(g) or in_integral_closure_newton(sub, g)
+        for g in full.generators
+    )

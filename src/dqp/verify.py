@@ -25,10 +25,18 @@ configurable scale:
            interpolated from observed counts against the closed form
            and the reduced Euler characteristic.
 
+Work that cannot change an outcome is skipped.  witness-refutation-soundness
+draws a witness battery and runs the valuative route only for Newton
+members: a non-member cannot be refuted unsoundly.  is_reduction, behind
+the square-ideal family and transitivity, runs the simplex only for the
+generators of the larger ideal that the smaller one does not already
+contain, since an ideal lies in its own integral closure.
+
 All randomness is derived from a per-case string seed, so a fixed seed
-gives a bit-identical report.  Check details carry case counts and
-parameter ranges, never timings; timings live on the report object for
-the table rendering only.
+gives a bit-identical report; `_randint` draws exactly what
+`Random.randint` draws and leaves the same generator state.  Check
+details carry case counts and parameter ranges, never timings; timings
+live on the report object for the table rendering only.
 """
 
 from __future__ import annotations
@@ -172,18 +180,47 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
     return checks
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) as CPython draws it, without its call chain.
+
+    CPython's ``_randbelow_with_getrandbits``: draw bit_length(n) bits for
+    n = hi - lo + 1 values, redrawn while the draw is n or more, so the
+    result and the generator's state are exactly those of ``randint``.
+    """
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _bidegree_table() -> list[list[chow.Bidegree | None]]:
+    """table[a][b] is Bidegree(a, b) for the entries 0..3 the chow suite draws.
+
+    Entry (0, 0), which defines no hypersurface, is None.
+    """
+    return [
+        [chow.Bidegree(a, b) if a or b else None for b in range(4)] for a in range(4)
+    ]
+
+
 def _random_system(
-    rng: random.Random, max_total: int = 10, max_entry: int = 3
+    rng: random.Random,
+    max_total: int = 10,
+    bidegrees: list[list[chow.Bidegree | None]] | None = None,
 ) -> chow.BidegreeSystem:
-    total = rng.randint(2, max_total)
-    ambient_n = rng.randint(0, total)
+    """Seeded classes with entries 0..3, taken from `bidegrees` when given."""
+    table = bidegrees or _bidegree_table()
+    total = _randint(rng, 2, max_total)
+    ambient_n = _randint(rng, 0, total)
     classes = []
     for _ in range(total):
-        a = rng.randint(0, max_entry)
-        b = rng.randint(0, max_entry)
+        a = _randint(rng, 0, 3)
+        b = _randint(rng, 0, 3)
         if a == 0 and b == 0:
-            a = rng.randint(1, max_entry)
-        classes.append(chow.Bidegree(a, b))
+            a = _randint(rng, 1, 3)
+        classes.append(table[a][b])
     return chow.BidegreeSystem(
         ambient_n=ambient_n, ambient_m=total - ambient_n, classes=tuple(classes)
     )
@@ -191,11 +228,13 @@ def _random_system(
 
 def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     checks: list[Check] = []
+    # Every class drawn below has entries 0..3: build each of the 15 once.
+    bidegrees = _bidegree_table()
 
     dual_bad: list[int] = []
     for c in range(cases):
         rng = random.Random(f"{seed}:chow-dual:{c}")
-        system = _random_system(rng)
+        system = _random_system(rng, bidegrees=bidegrees)
         if chow.intersection_number_ring(system) != chow.intersection_number_fulton(
             system
         ):
@@ -212,7 +251,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     perm_bad: list[int] = []
     for c in range(cases // 4):
         rng = random.Random(f"{seed}:chow-perm:{c}")
-        system = _random_system(rng)
+        system = _random_system(rng, bidegrees=bidegrees)
         shuffled = list(system.classes)
         rng.shuffle(shuffled)
         reordered = chow.BidegreeSystem(
@@ -236,18 +275,18 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     linear_bad: list[int] = []
     for c in range(cases // 4):
         rng = random.Random(f"{seed}:chow-linear:{c}")
-        system = _random_system(rng)
-        a = rng.randint(1, 3)
-        b = rng.randint(1, 3)
+        system = _random_system(rng, bidegrees=bidegrees)
+        a = _randint(rng, 1, 3)
+        b = _randint(rng, 1, 3)
         rest = system.classes[1:]
         whole = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (chow.Bidegree(a, b),) + rest
+            system.ambient_n, system.ambient_m, (bidegrees[a][b],) + rest
         )
         h_part = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (chow.Bidegree(a, 0),) + rest
+            system.ambient_n, system.ambient_m, (bidegrees[a][0],) + rest
         )
         k_part = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (chow.Bidegree(0, b),) + rest
+            system.ambient_n, system.ambient_m, (bidegrees[0][b],) + rest
         )
         total = chow.intersection_number_ring(h_part) + chow.intersection_number_ring(
             k_part
@@ -266,18 +305,16 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     vanish_bad: list[int] = []
     for c in range(cases // 4):
         rng = random.Random(f"{seed}:chow-vanish:{c}")
-        total = rng.randint(3, 10)
-        ambient_n = rng.randint(1, total - 1)
+        total = _randint(rng, 3, 10)
+        ambient_n = _randint(rng, 1, total - 1)
         ambient_m = total - ambient_n
-        classes = [
-            chow.Bidegree(0, rng.randint(1, 3)) for _ in range(ambient_m + 1)
-        ]
+        classes = [bidegrees[0][_randint(rng, 1, 3)] for _ in range(ambient_m + 1)]
         for _ in range(total - ambient_m - 1):
-            a = rng.randint(0, 3)
-            b = rng.randint(0, 3)
+            a = _randint(rng, 0, 3)
+            b = _randint(rng, 0, 3)
             if a == 0 and b == 0:
                 a = 1
-            classes.append(chow.Bidegree(a, b))
+            classes.append(bidegrees[a][b])
         system = chow.BidegreeSystem(
             ambient_n=ambient_n, ambient_m=ambient_m, classes=tuple(classes)
         )
@@ -301,15 +338,15 @@ def _random_monomial(
     rng: random.Random, variable_count: int, max_expo: int
 ) -> integral_closure.Monomial:
     return integral_closure.Monomial(
-        tuple(rng.randint(0, max_expo) for _ in range(variable_count))
+        tuple(_randint(rng, 0, max_expo) for _ in range(variable_count))
     )
 
 
 def _random_ideal(
     rng: random.Random, max_vars: int = 4, max_expo: int = 5
 ) -> integral_closure.MonomialIdeal:
-    nvars = rng.randint(1, max_vars)
-    count = rng.randint(1, 5)
+    nvars = _randint(rng, 1, max_vars)
+    count = _randint(rng, 1, 5)
     gens = tuple(_random_monomial(rng, nvars, max_expo) for _ in range(count))
     return integral_closure.MonomialIdeal(nvars, gens)
 
@@ -387,15 +424,14 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         rng = random.Random(f"{seed}:closure-wit:{c}")
         ideal = _random_ideal(rng)
         m = _random_monomial(rng, ideal.variable_count, 7)
+        # Finite witness lists can only refute, never certify, so only a
+        # Newton member can be refuted unsoundly: no battery for the rest.
+        if not integral_closure.in_integral_closure_newton(ideal, m):
+            continue
         witnesses = integral_closure.default_witnesses(
             ideal.variable_count, seed=f"{seed}:closure-wit:{c}"
         )
-        newton = integral_closure.in_integral_closure_newton(ideal, m)
-        valuative = integral_closure.in_integral_closure_valuative(
-            ideal, m, witnesses
-        )
-        # Finite witness lists can only refute, never certify.
-        if newton and not valuative:
+        if not integral_closure.in_integral_closure_valuative(ideal, m, witnesses):
             witness_bad.append(c)
     checks.append(
         Check.of(
@@ -415,7 +451,7 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
             continue
         extra = tuple(
             _random_monomial(rng, ideal.variable_count, 5)
-            for _ in range(rng.randint(1, 3))
+            for _ in range(_randint(rng, 1, 3))
         )
         larger = integral_closure.MonomialIdeal(
             ideal.variable_count, ideal.generators + extra

@@ -7,6 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
+from dqp import integral_closure
 from dqp.errors import BudgetError, ValidationError
 from dqp.integral_closure import (
     FACET_RAY_LIMIT,
@@ -573,6 +574,45 @@ def test_is_reduction_examples():
 def test_square_reduction_family():
     for p in range(1, 7):
         assert is_reduction(squares_ideal(p), power_ideal(maximal_ideal(p), 2))
+
+
+def test_generators_already_in_sub_never_reach_the_simplex(monkeypatch):
+    'an ideal lies in its integral closure, so only the other generators are solved'
+
+    def refuse(points, bounds):
+        raise AssertionError(f"the simplex ran for {bounds}")
+
+    monkeypatch.setattr(integral_closure, "_simplex_feasible", refuse)
+    rng = random.Random(0)
+    for p in range(1, 7):
+        squares, squared = squares_ideal(p), power_ideal(maximal_ideal(p), 2)
+        # multiples of the squares, so in the ideal the squares generate
+        picked = [
+            Monomial(tuple(e + 2 * (j == i) for j, e in enumerate(g.exponents)))
+            for g in squared.generators
+            for i in range(p)
+            if rng.random() < 0.5
+        ]
+        assert is_reduction(squares, MonomialIdeal(p, squares.generators + tuple(picked)))
+        assert is_reduction(squared, squared)
+
+
+def test_the_simplex_runs_once_per_cross_term(monkeypatch):
+    'sub holds the squares, so the simplex solves exactly the cross terms y_i * y_j'
+    feasible, solved = integral_closure._simplex_feasible, []
+
+    def counted(points, bounds):
+        solved.append(bounds)
+        return feasible(points, bounds)
+
+    monkeypatch.setattr(integral_closure, "_simplex_feasible", counted)
+    for p in range(1, 7):
+        solved.clear()
+        assert is_reduction(squares_ideal(p), power_ideal(maximal_ideal(p), 2))
+        assert sorted(solved) == sorted(
+            tuple(int(k in (i, j)) for k in range(p))
+            for i, j in itertools.combinations(range(p), 2)
+        )
 
 
 def test_reduction_fails_when_not_contained():

@@ -171,6 +171,31 @@ def test_skipping_one_generator_row_fails_the_facet_check(monkeypatch):
     assert failing == {"newton-vs-facet-enumeration"}
 
 
+def test_a_valuative_route_refuting_every_member_fails_the_witness_check(monkeypatch):
+    'batteries run only for Newton members, and each of those can still be refuted'
+    monkeypatch.setattr(
+        integral_closure, "in_integral_closure_valuative", lambda ideal, m, w: False
+    )
+    failing = {c.name for c in closure_checks() if not c.passed}
+    assert failing == {"witness-refutation-soundness"}
+
+
+def test_a_simplex_refusing_cross_terms_fails_the_square_family(monkeypatch):
+    'is_reduction skips only generators sub contains; y_i * y_j still reaches the simplex'
+    feasible = integral_closure._simplex_feasible
+    monkeypatch.setattr(
+        integral_closure,
+        "_simplex_feasible",
+        lambda points, bounds: (
+            not (sum(bounds) == 2 and max(bounds) == 1) and feasible(points, bounds)
+        ),
+    )
+    checks = {check.name: check for check in closure_checks()}
+    family = checks["square-ideal-reduction-family"]
+    assert not family.passed
+    assert family.detail == "failing p: [2, 3, 4, 5, 6]"
+
+
 def test_run_verify_deterministic_for_fixed_seed():
     first = run_verify(scope="chow", seed="s1")
     second = run_verify(scope="chow", seed="s1")
