@@ -263,12 +263,13 @@ def _parse_monomial_text(text: str, prefixes: set[str]) -> dict[int, int]:
             )
         letter, index_text, power_text = match.groups()
         prefixes.add(letter)
-        index = int(index_text)
+        try:
+            index, power = int(index_text), int(power_text or 1)
+        except ValueError:  # past the interpreter's int string-conversion limit
+            raise ValidationError(f"{text[:40]!r}... has too many digits") from None
         if index < 1:
             raise ValidationError(f"variable indices start at 1 (got {letter}{index})")
-        exponents[index - 1] = exponents.get(index - 1, 0) + (
-            int(power_text) if power_text is not None else 1
-        )
+        exponents[index - 1] = exponents.get(index - 1, 0) + power
         pos = match.end()
     return exponents
 
@@ -281,16 +282,15 @@ def _parse_ideal_text(text: str, prefixes: set[str]) -> list[dict[int, int]]:
 
 
 def _build_monomial(
-    exponents: dict[int, int], variable_count: int
+    exponents: dict[int, int], support: list[int]
 ) -> integral_closure.Monomial:
-    return integral_closure.Monomial(
-        tuple(exponents.get(i, 0) for i in range(variable_count))
-    )
+    return integral_closure.Monomial(tuple(exponents.get(i, 0) for i in support))
 
 
-def _monomial_string(m: integral_closure.Monomial, prefix: str) -> str:
+def _monomial_string(pairs, prefix: str) -> str:
+    """Render (variable index, exponent) pairs, indices from 0."""
     pieces = []
-    for i, e in enumerate(m.exponents):
+    for i, e in pairs:
         if e == 1:
             pieces.append(f"{prefix}{i + 1}")
         elif e > 1:
@@ -303,7 +303,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
     prefixes: set[str] = set()
     ideal_exponents = _parse_ideal_text(args.ideal, prefixes)
     monomial_exponents = None
-    full_exponents = None
+    full_exponents = []
     if args.mode == "membership":
         if args.monomial is None:
             raise ValidationError("membership mode needs --monomial")
@@ -317,31 +317,33 @@ def cmd_closure(args: argparse.Namespace) -> Report:
             "mixing x- and y-variables in one command is ambiguous; use one prefix"
         )
     prefix = prefixes.pop()
-    all_exponents = ideal_exponents + (full_exponents or [])
-    if monomial_exponents is not None:
-        all_exponents = all_exponents + [monomial_exponents]
-    variable_count = 1 + max(
-        (index for expo in all_exponents for index in expo), default=0
-    )
-    # Every ideal has a generator, so this is the smallest tableau either
-    # mode can need: refuse it before building any exponent tuple.
-    integral_closure.require_newton_tableau(variable_count, 1)
+    # The Newton polyhedron is a product with R_{>=0} in each variable no
+    # generator of either ideal uses, so both modes read only the rest.
+    support = sorted({i for expo in ideal_exponents + full_exponents for i in expo})
+    variable_count = 1 + max([*support, *(monomial_exponents or ())])
+    # Every Newton call needs this tableau; refuse it before building and
+    # minimalizing the generators, which costs up to g^2 x |support|.
+    integral_closure.require_newton_tableau(len(support), 1)
     ideal = integral_closure.MonomialIdeal(
-        variable_count,
-        tuple(_build_monomial(e, variable_count) for e in ideal_exponents),
+        len(support), tuple(_build_monomial(e, support) for e in ideal_exponents)
     )
     checks: list[Check] = []
     results: dict = {
-        "ideal": ", ".join(_monomial_string(g, prefix) for g in ideal.generators),
+        "ideal": ", ".join(
+            _monomial_string(zip(support, g.exponents), prefix)
+            for g in ideal.generators
+        ),
         "variable_count": variable_count,
         "mode": args.mode,
     }
     if args.mode == "membership":
-        m = _build_monomial(monomial_exponents, variable_count)
+        m = _build_monomial(monomial_exponents, support)
         member = integral_closure.in_integral_closure_newton(ideal, m)
-        results["monomial"] = _monomial_string(m, prefix)
+        results["monomial"] = _monomial_string(
+            sorted(monomial_exponents.items()), prefix
+        )
         results["member"] = member
-        witnesses = integral_closure.default_witnesses(variable_count, seed=0)
+        witnesses = integral_closure.default_witnesses(len(support), seed=0)
         battery = integral_closure.in_integral_closure_valuative(ideal, m, witnesses)
         results["witness_battery"] = battery
         checks.append(
@@ -351,7 +353,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
                 "finite curve battery cannot refute a Newton member",
             )
         )
-        bound = integral_closure.facet_ray_bound(variable_count, len(ideal.generators))
+        bound = integral_closure.facet_ray_bound(len(support), len(ideal.generators))
         if bound <= integral_closure.FACET_RAY_LIMIT:
             facets = integral_closure.in_integral_closure_facets(ideal, m)
             results["facet_route"] = facets
@@ -364,11 +366,11 @@ def cmd_closure(args: argparse.Namespace) -> Report:
             )
     else:
         full = integral_closure.MonomialIdeal(
-            variable_count,
-            tuple(_build_monomial(e, variable_count) for e in full_exponents),
+            len(support), tuple(_build_monomial(e, support) for e in full_exponents)
         )
         results["full"] = ", ".join(
-            _monomial_string(g, prefix) for g in full.generators
+            _monomial_string(zip(support, g.exponents), prefix)
+            for g in full.generators
         )
         results["reduction"] = integral_closure.is_reduction(ideal, full)
     return Report(

@@ -335,11 +335,12 @@ def count_points(
     _require_odd_modulus(prime)
     if not is_int(jobs) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer (got {jobs})")
-    enumerated = prime**spec.n
-    if enumerated > budget:
+    # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
+    # refuse without computing the power, whose size n alone can blow up.
+    enumerated = None if spec.n > budget.bit_length() else prime**spec.n
+    if enumerated is None or enumerated > budget:
         raise BudgetError(
-            f"counting {prime}^{spec.n} = {enumerated} points exceeds the "
-            f"budget of {budget}",
+            f"counting {prime}^{spec.n} points exceeds the budget of {budget}",
             required=enumerated,
         )
     _require_odd_prime(prime)

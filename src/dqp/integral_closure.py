@@ -91,14 +91,6 @@ class Monomial:
     def total_degree(self) -> int:
         return sum(self.exponents)
 
-    def divides(self, other: Monomial) -> bool:
-        if self.variable_count != other.variable_count:
-            raise ValidationError(
-                "cannot compare monomials in "
-                f"{self.variable_count} and {other.variable_count} variables"
-            )
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:

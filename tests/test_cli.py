@@ -282,54 +282,80 @@ def test_closure_reduction_false_case(capsys):
 
 
 def test_closure_oversized_tableau_refused(capsys, monkeypatch):
-    'refused before the Newton rows or the witness battery are built'
+    'generators in 31 distinct variables: refused before any tuple or battery'
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("exponent tuple built for a refused request")
+
     def no_witnesses(*args, **kwargs):
         raise AssertionError("witness battery built for a refused request")
 
+    monkeypatch.setattr(cli, "_build_monomial", no_tuples)
     monkeypatch.setattr(integral_closure, "default_witnesses", no_witnesses)
-    code, out, err = run(capsys, "closure", "--ideal", "y100000", "--monomial", "y1")
+    variables = [f"y{i}" for i in range(1, 32)]
+    code, out, err = run(
+        capsys, "closure", "--ideal", ",".join(variables), "--monomial", "y1"
+    )
     assert code == 3
     assert out == ""
     assert "tableau" in err
+    product = "*".join(variables)
     code, out, err = run(
         capsys, "closure", "--mode", "reduction",
-        "--ideal", "y1,y40", "--full", "y1,y40,y2*y3",
+        "--ideal", product, "--full", f"{product},y1*y2",
     )
     assert code == 3
     assert "tableau" in err
+
+
+def _no_tuple_wider_than(monkeypatch, width):
+    build = cli._build_monomial
+
+    def narrow_tuples(exponents, support):
+        if len(support) > width:
+            raise AssertionError(f"exponent tuple of width {len(support)} built")
+        return build(exponents, support)
+
+    monkeypatch.setattr(cli, "_build_monomial", narrow_tuples)
 
 
 def test_closure_huge_variable_index_refused_first(capsys, monkeypatch):
-    'membership mode refuses from the parsed indices, before any dense tuple'
-    def no_tuples(*args, **kwargs):
-        raise AssertionError("exponent tuple built for a refused request")
-
-    monkeypatch.setattr(cli, "_build_monomial", no_tuples)
-    started = time.perf_counter()
-    code, out, err = run(
-        capsys, "closure", "--ideal", "y1", "--monomial", "y1000000000"
-    )
-    assert time.perf_counter() - started < 1.0
-    assert code == 3
-    assert out == ""
-    assert "tableau" in err
+    'a huge index no generator uses is free: answered on the one-variable support'
+    _no_tuple_wider_than(monkeypatch, 1)
+    for monomial, member in (("y1*y1000000000", True), ("y1000000000", False)):
+        started = time.perf_counter()
+        code, doc, _, _ = run_json(
+            capsys, "closure", "--ideal", "y1", "--monomial", monomial
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert doc["results"]["member"] is member
+        assert doc["results"]["variable_count"] == 1000000000
+        assert doc["results"]["monomial"] == monomial
 
 
 def test_closure_reduction_huge_variable_index_refused_first(capsys, monkeypatch):
-    'reduction mode refuses from the parsed indices too, before any dense tuple'
-    def no_tuples(*args, **kwargs):
-        raise AssertionError("exponent tuple built for a refused request")
-
-    monkeypatch.setattr(cli, "_build_monomial", no_tuples)
+    'reduction mode reads the support of both ideals: y1 and y1000000000'
+    _no_tuple_wider_than(monkeypatch, 2)
     started = time.perf_counter()
-    code, out, err = run(
+    code, doc, _, _ = run_json(
         capsys, "closure", "--mode", "reduction",
         "--ideal", "y1", "--full", "y1,y1000000000",
     )
     assert time.perf_counter() - started < 1.0
-    assert code == 3
-    assert out == ""
-    assert "tableau" in err
+    assert code == 0
+    assert doc["results"]["reduction"] is False
+    assert doc["results"]["full"] == "y1, y1000000000"
+    assert doc["results"]["variable_count"] == 1000000000
+
+
+def test_closure_overlong_index_or_exponent_is_invalid(capsys):
+    'past the int string-conversion limit the parser exits 2, not with a traceback'
+    nines = "9" * 5000
+    for ideal in (f"y1^{nines}", f"y{nines}"):
+        code, out, err = run(capsys, "closure", "--ideal", ideal, "--monomial", "y1")
+        assert code == 2
+        assert out == ""
+        assert "too many digits" in err
 
 
 def test_closure_grammar_whitespace_and_powers(capsys):
@@ -405,6 +431,25 @@ def test_count_oversized_modulus_refused_before_primality(capsys):
     assert code == 3
     assert out == ""
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "1", "--q1", "9100", "--prime", "3"],
+        ["--p", "1", "--q1", "100000000", "--prime", "3"],
+        ["--p", "2", "--prime", str(10**1000 + 1)],
+    ],
+    ids=["q1-9100", "q1-10^8", "prime-10^1000"],
+)
+def test_count_refusal_never_expands_prime_to_the_n(capsys, argv):
+    'the refusal states prime^n unexpanded, so it neither hangs nor crashes'
+    started = time.perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ")
 
 
 def test_count_modulus_beyond_exact_primality_refused(capsys):

@@ -124,6 +124,13 @@ def test_count_budget_refusal():
     with pytest.raises(BudgetError) as info:
         count_points(NormalFormSpec(p=3), 11, budget=10**6)
     assert info.value.required == 11**9
+    # 10^8 has 27 bits, so past n = 27 the power is never computed.
+    with pytest.raises(BudgetError, match=r"3\^28 points") as info:
+        count_points(NormalFormSpec(p=1, q1=26), 3)
+    assert info.value.required is None
+    with pytest.raises(BudgetError) as info:
+        count_points(NormalFormSpec(p=1, q1=25), 3)
+    assert info.value.required == 3**27
 
 
 def test_count_budget_checked_before_primality():

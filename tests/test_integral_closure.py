@@ -46,10 +46,6 @@ def test_monomial_validation():
     with pytest.raises(ValidationError):
         Monomial((1, -1))
     assert Monomial((1, 2)).total_degree == 3
-    assert Monomial((1, 0)).divides(Monomial((2, 1)))
-    assert not Monomial((1, 2)).divides(Monomial((2, 1)))
-    with pytest.raises(ValidationError):
-        Monomial((1,)).divides(Monomial((1, 1)))
 
 
 def test_ideal_minimalization():

@@ -3,11 +3,16 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dqp.chow import Bidegree, BidegreeSystem, intersection_number_ring  # noqa: E402
-from dqp.cli import _monomial_string, _parse_classes, _parse_monomial_text  # noqa: E402
+from dqp.cli import (  # noqa: E402
+    _monomial_string,
+    _parse_classes,
+    _parse_monomial_text,
+    build_parser,
+)
 from dqp.integral_closure import (  # noqa: E402
     FACET_RAY_LIMIT,
     Monomial,
@@ -15,6 +20,7 @@ from dqp.integral_closure import (  # noqa: E402
     facet_ray_bound,
     in_integral_closure_facets,
     in_integral_closure_newton,
+    is_reduction,
 )
 
 SMALL = settings(max_examples=40, deadline=None)
@@ -28,7 +34,7 @@ bidegrees = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda c: any
 @SMALL
 @given(exponent_vectors.filter(any), st.sampled_from("xy"))
 def test_monomial_text_round_trip(exponents, prefix):
-    text = _monomial_string(Monomial(tuple(exponents)), prefix)
+    text = _monomial_string(enumerate(exponents), prefix)
     seen: set[str] = set()
     parsed = _parse_monomial_text(text, seen)
     assert parsed == {i: e for i, e in enumerate(exponents) if e}
@@ -96,3 +102,69 @@ def test_closure_facet_route_agrees_with_newton(case):
     assert facet_ray_bound(n, len(ideal.generators)) <= FACET_RAY_LIMIT
     m = Monomial(tuple(exponents))
     assert in_integral_closure_facets(ideal, m) == in_integral_closure_newton(ideal, m)
+
+
+# A closure request in at most 8 variable indices: sparse generators of the
+# ideal and of --full, and a candidate, each {index from 0: exponent}.  An
+# exponent may be 0, so a generator can name a variable it does not use.
+sparse_monomials = st.dictionaries(st.integers(0, 7), st.integers(0, 4), min_size=1, max_size=4)
+closure_requests = st.tuples(
+    st.lists(sparse_monomials, min_size=1, max_size=4),
+    st.lists(sparse_monomials, min_size=1, max_size=4),
+    sparse_monomials,
+)
+
+
+def _text(monomials, index=lambda i: i):
+    return ",".join(
+        "*".join(f"y{index(i) + 1}^{e}" for i, e in sorted(m.items())) for m in monomials
+    )
+
+
+def _closure(ideal, monomial=None, full=None, index=lambda i: i):
+    'member and reduction as `dqp closure` reports them, in process'
+    argv = ["closure", "--ideal", _text(ideal, index)]
+    if full is None:
+        argv += ["--monomial", _text([monomial], index)]
+    else:
+        argv += ["--mode", "reduction", "--full", _text(full, index)]
+    args = build_parser().parse_args(argv)
+    results = args.handler(args).results
+    return results["member"] if full is None else results["reduction"]
+
+
+def _dense(monomials, n):
+    return tuple(Monomial(tuple(m.get(i, 0) for i in range(n))) for m in monomials)
+
+
+@SMALL
+@given(closure_requests, st.lists(st.integers(0, 3 * 10**9), min_size=8, max_size=8, unique=True))
+def test_closure_answers_survive_an_injective_respread_of_indices(request_, targets):
+    ideal, full, monomial = request_
+    spread = targets.__getitem__
+    assert _closure(ideal, monomial, index=spread) == _closure(ideal, monomial)
+    assert _closure(ideal, full=full, index=spread) == _closure(ideal, full=full)
+
+
+@SMALL
+@given(closure_requests, st.integers(1, 6))
+def test_closure_a_variable_no_generator_uses_keeps_a_member(request_, exponent):
+    ideal, _, monomial = request_
+    unused = 1 + max(i for m in ideal for i in m)
+    if _closure(ideal, monomial):
+        assert _closure(ideal, {**monomial, unused: exponent})
+
+
+@SMALL
+@given(closure_requests)
+# y1 is not in (y1*y2), so (y1) is no reduction of it; read on y1's support
+# alone, (y1*y2) would become (y1) and the answer True.
+@example(([{0: 1}], [{0: 1, 1: 1}], {0: 1}))
+def test_closure_cli_answers_equal_dense_library_calls(request_):
+    ideal, full, monomial = request_
+    n = 1 + max(i for m in ideal + full + [monomial] for i in m)
+    dense = MonomialIdeal(n, _dense(ideal, n))
+    (m,) = _dense([monomial], n)
+    assert _closure(ideal, monomial) == in_integral_closure_newton(dense, m)
+    reduction = is_reduction(dense, MonomialIdeal(n, _dense(full, n)))
+    assert _closure(ideal, full=full) == reduction
