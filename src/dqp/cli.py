@@ -265,11 +265,13 @@ def _parse_monomial_text(text: str, prefixes: set[str]) -> dict[int, int]:
         prefixes.add(letter)
         try:
             index, power = int(index_text), int(power_text or 1)
+            power += exponents.get(index - 1, 0)
+            str(power)  # a repeated variable's sum may pass the limit its parts met
         except ValueError:  # past the interpreter's int string-conversion limit
             raise ValidationError(f"{text[:40]!r}... has too many digits") from None
         if index < 1:
             raise ValidationError(f"variable indices start at 1 (got {letter}{index})")
-        exponents[index - 1] = exponents.get(index - 1, 0) + power
+        exponents[index - 1] = power
         pos = match.end()
     return exponents
 

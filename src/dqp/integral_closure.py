@@ -7,17 +7,17 @@ membership by exact rational feasibility: find mu_g >= 0 summing to 1
 with sum mu_g * g <= a componentwise, via an integer-preserving
 phase-1 simplex (Edmonds 1967, Bareiss 1968): every row is held in
 `int`, scaled by the last pivot element, and every update divides
-exactly, so nothing is rounded and no `Fraction` is built.  Route two is
+exactly, so nothing is rounded and no rational is built.  Route two is
 the valuative criterion: x^a is in the closure iff for every monomial
-curve t -> (t^{w_1}, ..., t^{w_n}) with w >= 0 the pullback order
+curve t -> (t^{w_1}, ..., t^{w_n}) with integer w >= 0 the pullback order
 <w, a> is at least the minimal generator order min_g <w, g>.  Checking
 finitely many weight vectors is only a falsification tool in general,
 but checking the facet normals of the Newton polyhedron is complete.
 Those normals are the extreme rays of a pointed cone, enumerated exactly
 by the double description method in any number of variables, under one
 ray budget (FACET_RAY_LIMIT) checked before any ray is built.  Both
-routes run in plain int: a weight vector is held as integer numerators
-over one denominator, and every ray is a primitive integer vector.
+routes run in plain int: a witness curve is a tuple of its integer
+weights, and every ray is a primitive integer vector.
 
 The reduction test (same integral closure, equivalently finite induced
 blow-up) is what makes the two-variable-block germ computations work:
@@ -30,9 +30,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial, reduce
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import and_, le, mul
 
 from .errors import BudgetError, ValidationError, is_int
@@ -40,7 +39,6 @@ from .errors import BudgetError, ValidationError, is_int
 __all__ = [
     "Monomial",
     "MonomialIdeal",
-    "WeightVector",
     "power_ideal",
     "in_integral_closure_newton",
     "in_integral_closure_valuative",
@@ -143,44 +141,6 @@ class MonomialIdeal:
             )
 
 
-@dataclass(frozen=True, init=False)
-class WeightVector:
-    """Nonnegative rational weights, not all zero: a monomial curve's orders.
-
-    Held as integer numerators over one positive denominator, the lcm of
-    the weights' denominators: a unique form, so equal weights compare equal.
-    """
-
-    numerators: tuple[int, ...]
-    denominator: int
-
-    def __init__(self, weights: tuple[int | Fraction, ...]) -> None:
-        converted = tuple(Fraction(w) for w in weights)
-        for w in converted:
-            if w < 0:
-                raise ValidationError(f"weights must be nonnegative (got {converted})")
-        if not any(converted):
-            raise ValidationError("the zero weight vector defines no curve")
-        scale = lcm(*(w.denominator for w in converted))
-        self._set(tuple(w.numerator * scale // w.denominator for w in converted), scale)
-
-    def _set(self, numerators: tuple[int, ...], denominator: int = 1) -> WeightVector:
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        return self
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.numerators)
-
-    def pairing(self, exponents: tuple[int, ...]) -> Fraction:
-        return Fraction(_dot(self.numerators, exponents), self.denominator)
-
-
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
     """e-th power: all e-fold generator products, minimalized on construction."""
     if not is_int(e) or e < 1:
@@ -207,14 +167,12 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership in the Newton polyhedron, by exact rational feasibility.
 
     Feasible iff there are mu_g >= 0 with sum mu_g = 1 and
-    sum mu_g * exponent(g) <= exponent(m) componentwise.  Refuses, before
-    building any row, a tableau of more than NEWTON_CELL_LIMIT cells.
+    sum mu_g * exponent(g) <= exponent(m) componentwise; the simplex alone
+    decides, with no degree pre-test.  Refuses, before building any row, a
+    tableau of more than NEWTON_CELL_LIMIT cells.
     """
     ideal._check_dimension(m)
     require_newton_tableau(ideal.variable_count, len(ideal.generators))
-    # Cheap necessary condition first: pair with the all-ones weight.
-    if m.total_degree < min(g.total_degree for g in ideal.generators):
-        return False
     return _simplex_feasible([g.exponents for g in ideal.generators], m.exponents)
 
 
@@ -276,54 +234,47 @@ def _simplex_feasible(points: list[tuple[int, ...]], bounds: tuple[int, ...]) ->
 
 
 def in_integral_closure_valuative(
-    ideal: MonomialIdeal, m: Monomial, witnesses: list[WeightVector]
+    ideal: MonomialIdeal, m: Monomial, witnesses: list[tuple[int, ...]]
 ) -> bool:
     """Curve criterion over the supplied weight vectors only.
 
-    True means no supplied monomial curve refutes membership; with the
-    facet normals among the witnesses this is equivalent to membership,
-    with an arbitrary finite list it is merely necessary.
+    Each witness, a tuple of nonnegative ints not all zero, is the curve
+    t -> (t^{w_1}, ..., t^{w_n}).  True means no supplied curve refutes
+    membership; with the facet normals among the witnesses this is
+    equivalent to membership, with an arbitrary finite list it is merely
+    necessary.
     """
     ideal._check_dimension(m)
-    gens = [g.exponents for g in ideal.generators]
+    n, gens = ideal.variable_count, [g.exponents for g in ideal.generators]
     for w in witnesses:
-        if w.variable_count != ideal.variable_count:
+        if len(w) != n or not any(w) or not all(is_int(v) and v >= 0 for v in w):
             raise ValidationError(
-                f"witness {tuple(map(str, w.weights))} has {w.variable_count} "
-                f"variables, ideal has {ideal.variable_count}"
+                f"a witness is {n} nonnegative ints, not all zero (got {w})"
             )
-        # Pairings share one positive denominator: compare the numerators'.
-        ints = w.numerators
-        if _dot(ints, m.exponents) < min(_dot(ints, g) for g in gens):
-            return False
-    return True
+    return all(_dot(w, m.exponents) >= min(_dot(w, g) for g in gens) for w in witnesses)
 
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def default_witnesses(variable_count: int, seed: int | str = 0) -> list[WeightVector]:
+def default_witnesses(variable_count: int, seed: int | str = 0) -> list[tuple[int, ...]]:
     """Unit vectors, the all-ones vector, and seeded small-integer vectors."""
     if not is_int(variable_count) or variable_count < 1:
         raise ValidationError(
             f"variable_count must be a positive integer (got {variable_count})"
         )
-    # Trusted path: nonnegative ints, not all zero, so no validation.
     witnesses = [
-        object.__new__(WeightVector)._set(
-            tuple(int(i == j) for j in range(variable_count))
-        )
-        for i in range(variable_count)
+        tuple(int(i == j) for j in range(variable_count)) for i in range(variable_count)
     ]
-    witnesses.append(object.__new__(WeightVector)._set((1,) * variable_count))
+    witnesses.append((1,) * variable_count)
     # rng.randint(0, 5) as CPython draws it: 3 bits, redrawn while above 5.
     bits = random.Random(f"{seed}:witnesses:{variable_count}").getrandbits
     draws = (r for r in iter(partial(bits, 3), None) if r < 6)
     while len(witnesses) < variable_count + 1 + DEFAULT_RANDOM_WITNESSES:
         candidate = tuple(itertools.islice(draws, variable_count))
         if any(candidate):
-            witnesses.append(object.__new__(WeightVector)._set(candidate))
+            witnesses.append(candidate)
     return witnesses
 
 

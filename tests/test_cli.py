@@ -351,8 +351,18 @@ def test_closure_reduction_huge_variable_index_refused_first(capsys, monkeypatch
 def test_closure_overlong_index_or_exponent_is_invalid(capsys):
     'past the int string-conversion limit the parser exits 2, not with a traceback'
     nines = "9" * 5000
-    for ideal in (f"y1^{nines}", f"y{nines}"):
-        code, out, err = run(capsys, "closure", "--ideal", ideal, "--monomial", "y1")
+    # Each exponent has 4300 digits and parses; their sum has 4301.
+    summed = f"y1^{'9' * 4300}*y1"
+    for request in (
+        ("--ideal", f"y1^{nines}", "--monomial", "y1"),
+        ("--ideal", f"y{nines}", "--monomial", "y1"),
+        ("--ideal", summed, "--monomial", "y1"),
+        ("--ideal", "y1", "--monomial", summed),
+        ("--ideal", "y1", "--mode", "reduction", "--full", summed),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "closure", *request)
+        assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
         assert "too many digits" in err

@@ -14,7 +14,6 @@ from dqp.integral_closure import (
     NEWTON_CELL_LIMIT,
     Monomial,
     MonomialIdeal,
-    WeightVector,
     default_witnesses,
     facet_ray_bound,
     in_integral_closure_facets,
@@ -74,28 +73,14 @@ def test_contains_monomial():
         j.contains_monomial(Monomial((1,)))
 
 
-def test_weight_vector():
-    w = WeightVector((1, Fraction(1, 2)))
-    assert w.pairing((2, 4)) == 4
-    assert w.pairing((1, 1)) == Fraction(3, 2)
-    assert WeightVector((Fraction(2, 3), Fraction(5, 7), 0)).pairing((1, 2, 9)) == (
-        Fraction(44, 21)
-    )
-    assert w.weights == (Fraction(1), Fraction(1, 2))
-    assert all(type(x) is Fraction for x in WeightVector((1, 2)).weights)
-    assert WeightVector((1, 2)) == WeightVector((Fraction(1), Fraction(2)))
-    assert hash(WeightVector((1, 2))) == hash(WeightVector((Fraction(1), Fraction(2))))
-    assert WeightVector((Fraction(2, 4), 1)) == WeightVector((Fraction(1, 2), 1))
-    assert WeightVector((1, 2)) != WeightVector((Fraction(1, 2), 1))
-    assert WeightVector((2, 4)) != WeightVector((1, 2))
-    with pytest.raises(ValidationError):
-        WeightVector((0, 0))
-    with pytest.raises(ValidationError):
-        WeightVector((Fraction(0), 0, 0))
-    with pytest.raises(ValidationError):
-        WeightVector((-1, 2))
-    with pytest.raises(ValidationError):
-        WeightVector((1, Fraction(-1, 3)))
+def test_valuative_rejects_invalid_witnesses():
+    'a witness is nonnegative ints, not all zero, one per variable, wherever it is listed'
+    j = squares_ideal(2)
+    for bad in [(-1, 2), (0, 0), (True, 1), (1.0, 1), (1, 1, 1), (1,)]:
+        # (1, 1) refutes y1 but not y1*y2: a bad witness after it still raises.
+        for m in (Monomial((1, 1)), Monomial((1, 0))):
+            with pytest.raises(ValidationError):
+                in_integral_closure_valuative(j, m, [(1, 1), bad])
 
 
 def test_power_ideal():
@@ -451,17 +436,15 @@ def test_newton_vs_facets_seeded():
 
 def test_valuative_examples():
     j = squares_ideal(2)
-    witnesses = [WeightVector(w) for w in ((1, 0), (0, 1), (1, 1), (2, 1))]
+    witnesses = [(1, 0), (0, 1), (1, 1), (2, 1)]
     assert in_integral_closure_valuative(j, Monomial((1, 1)), witnesses)
-    assert not in_integral_closure_valuative(
-        j, Monomial((1, 0)), [WeightVector((1, 1))]
-    )
+    assert not in_integral_closure_valuative(j, Monomial((1, 0)), [(1, 1)])
     for g in j.generators:
         assert in_integral_closure_valuative(j, g, default_witnesses(2))
 
 
 def test_valuative_non_integer_weights_match_fraction_pairing():
-    'the integer route gives the Fraction definition: <w, a> >= min_g <w, g>'
+    'rational weights, scaled to integer numerators, give the Fraction definition'
     def pair(weights, exponents):
         return sum(Fraction(w) * e for w, e in zip(weights, exponents))
 
@@ -478,11 +461,13 @@ def test_valuative_non_integer_weights_match_fraction_pairing():
     on_boundary = 0
     for i, weights in cases:
         for w in weights:
+            scale = lcm(*(Fraction(v).denominator for v in w))
+            numerators = tuple(int(Fraction(v) * scale) for v in w)
             order = min(pair(w, g.exponents) for g in i.generators)
             for a in itertools.product(range(7), repeat=i.variable_count):
                 on_boundary += pair(w, a) == order
                 assert in_integral_closure_valuative(
-                    i, Monomial(a), [WeightVector(w)]
+                    i, Monomial(a), [numerators]
                 ) == (pair(w, a) >= order)
     assert on_boundary > 0
 
@@ -490,15 +475,16 @@ def test_valuative_non_integer_weights_match_fraction_pairing():
 def test_valuative_dimension_mismatch():
     with pytest.raises(ValidationError):
         in_integral_closure_valuative(
-            squares_ideal(2), Monomial((1, 1)), [WeightVector((1, 1, 1))]
+            squares_ideal(2), Monomial((1, 1)), [(1, 1, 1)]
         )
 
 
 def test_default_witnesses_shape():
     witnesses = default_witnesses(3, seed=7)
     assert len(witnesses) == 3 + 1 + 50
-    assert witnesses[0].weights == (Fraction(1), Fraction(0), Fraction(0))
-    assert witnesses[3].weights == (Fraction(1), Fraction(1), Fraction(1))
+    assert witnesses[0] == (1, 0, 0)
+    assert witnesses[3] == (1, 1, 1)
+    assert all(type(w) is tuple and all(type(v) is int for v in w) for w in witnesses)
     assert default_witnesses(3, seed=7) == witnesses
 
 
@@ -513,24 +499,20 @@ def test_default_witnesses_follow_the_randint_stream():
                 candidate = tuple(rng.randint(0, 5) for _ in range(n))
                 if any(candidate):
                     expected.append(candidate)
-            assert [w.weights for w in default_witnesses(n, seed)] == [
-                tuple(map(Fraction, v)) for v in expected
-            ]
+            assert default_witnesses(n, seed) == expected
 
 
 def test_default_witnesses_pinned_battery():
-    assert [w.weights for w in default_witnesses(3, seed=0)] == [
-        tuple(map(Fraction, v)) for v in [
-            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (5, 0, 3), (3, 3, 5),
-            (1, 3, 2), (4, 5, 4), (1, 0, 5), (1, 1, 1), (0, 2, 4), (1, 1, 4),
-            (2, 1, 4), (0, 5, 0), (4, 3, 2), (4, 4, 1), (4, 5, 2), (1, 5, 0),
-            (2, 0, 4), (5, 2, 5), (0, 3, 4), (4, 4, 1), (5, 1, 4), (1, 5, 2),
-            (0, 4, 2), (0, 5, 4), (5, 2, 4), (0, 3, 1), (3, 5, 4), (0, 3, 0),
-            (0, 1, 5), (5, 0, 3), (2, 1, 1), (3, 4, 4), (0, 2, 0), (0, 0, 3),
-            (5, 3, 2), (3, 4, 1), (2, 0, 4), (2, 0, 1), (5, 5, 3), (5, 0, 1),
-            (2, 5, 3), (2, 3, 3), (0, 3, 1), (0, 1, 0), (4, 4, 5), (2, 1, 0),
-            (0, 3, 4), (3, 3, 5), (4, 1, 0), (2, 5, 1), (0, 0, 5), (1, 4, 1),
-        ]
+    assert default_witnesses(3, seed=0) == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (5, 0, 3), (3, 3, 5),
+        (1, 3, 2), (4, 5, 4), (1, 0, 5), (1, 1, 1), (0, 2, 4), (1, 1, 4),
+        (2, 1, 4), (0, 5, 0), (4, 3, 2), (4, 4, 1), (4, 5, 2), (1, 5, 0),
+        (2, 0, 4), (5, 2, 5), (0, 3, 4), (4, 4, 1), (5, 1, 4), (1, 5, 2),
+        (0, 4, 2), (0, 5, 4), (5, 2, 4), (0, 3, 1), (3, 5, 4), (0, 3, 0),
+        (0, 1, 5), (5, 0, 3), (2, 1, 1), (3, 4, 4), (0, 2, 0), (0, 0, 3),
+        (5, 3, 2), (3, 4, 1), (2, 0, 4), (2, 0, 1), (5, 5, 3), (5, 0, 1),
+        (2, 5, 3), (2, 3, 3), (0, 3, 1), (0, 1, 0), (4, 4, 5), (2, 1, 0),
+        (0, 3, 4), (3, 3, 5), (4, 1, 0), (2, 5, 1), (0, 0, 5), (1, 4, 1),
     ]
 
 

@@ -20,6 +20,7 @@ from dqp.integral_closure import (  # noqa: E402
     facet_ray_bound,
     in_integral_closure_facets,
     in_integral_closure_newton,
+    in_integral_closure_valuative,
     is_reduction,
 )
 
@@ -66,6 +67,28 @@ def test_closure_membership_monotone_in_generators(case):
     large = MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens + extra))
     if in_integral_closure_newton(small, m):
         assert in_integral_closure_newton(large, m)
+
+
+@SMALL
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(st.integers(0, 7), min_size=n, max_size=n),
+            st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any),
+        )
+    ),
+    st.integers(1, 10**6),
+)
+def test_closure_valuative_answer_ignores_witness_scaling(case, k):
+    'scaling the weights of a curve by k scales every order by k, so no comparison changes'
+    gens, exponents, weights = case
+    ideal = MonomialIdeal(len(exponents), tuple(Monomial(tuple(g)) for g in gens))
+    m = Monomial(tuple(exponents))
+    scaled = tuple(k * v for v in weights)
+    assert in_integral_closure_valuative(ideal, m, [scaled]) == (
+        in_integral_closure_valuative(ideal, m, [tuple(weights)])
+    )
 
 
 @SMALL

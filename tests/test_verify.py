@@ -180,6 +180,17 @@ def test_a_valuative_route_refuting_every_member_fails_the_witness_check(monkeyp
     assert failing == {"witness-refutation-soundness"}
 
 
+def test_an_always_feasible_simplex_fails_the_degree_check(monkeypatch):
+    'no degree pre-test answers for the simplex, so a member below the least degree is reported'
+    monkeypatch.setattr(integral_closure, "_simplex_feasible", lambda points, bounds: True)
+    failing = {c.name for c in closure_checks() if not c.passed}
+    assert failing == {
+        "member-degree-necessity",
+        "newton-vs-facet-enumeration",
+        "witness-refutation-soundness",
+    }
+
+
 def test_a_simplex_refusing_cross_terms_fails_the_square_family(monkeypatch):
     'is_reduction skips only generators sub contains; y_i * y_j still reaches the simplex'
     feasible = integral_closure._simplex_feasible
