@@ -15,6 +15,7 @@ diagnostics to stderr.  DQP_BUDGET overrides the enumeration budget.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -207,6 +208,13 @@ def cmd_chow(args: argparse.Namespace) -> Report:
     system = chow.BidegreeSystem(
         ambient_n=args.n, ambient_m=args.m, classes=_parse_classes(args.classes)
     )
+    # Every coefficient is at most prod(a + b) < 2^bits: refuse, before any
+    # route, what could pass the int-to-string digit limit (0: none).
+    bits = sum((c.a + c.b).bit_length() for c in system.classes)
+    digits, limit = math.ceil(bits * math.log10(2)), sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        message = f"the intersection number may have {digits} digits (limit {limit})"
+        raise BudgetError(message, required=digits)
     results: dict = {
         "ambient": [args.n, args.m],
         "classes": [[c.a, c.b] for c in system.classes],

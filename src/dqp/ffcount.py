@@ -11,8 +11,8 @@ F_prime that reasoning predicts exactly
 points, a polynomial in the field size whose value at t = 1 is 0, the
 Euler characteristic of an odd sphere.  This module checks the
 prediction by exhaustive enumeration, and recovers the counting
-polynomial by exact Lagrange interpolation of observed counts rather
-than of the closed form.
+polynomial by exact integer (Newton) interpolation of observed counts
+rather than of the closed form.
 
 Only the square-free normal form (no y^2 suspension terms, k = 0) is
 counted: suspension terms would drag quadratic character sums into the
@@ -40,9 +40,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Collection, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import DqpParams
 from .errors import BudgetError, CheckError, ValidationError, is_int
@@ -350,6 +348,7 @@ def count_points(
     if workers == 1:
         base = count_nonzero_y_slice(spec, prime, target, 0, total_y)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only here
         shared = _SharedForms(workers)
 
         def count_slice(bounds: tuple[int, int]) -> int | None:
@@ -409,15 +408,11 @@ def counting_polynomial(spec: NormalFormSpec) -> tuple[int, ...]:
     counts = [
         count_nonzero_y_slice(base, prime, 1, 0, prime**base.p) for prime in primes
     ]
-    coeffs = _lagrange_coefficients(
-        [(Fraction(prime), Fraction(count)) for prime, count in zip(primes[:-1], counts)]
-    )
-    if any(c.denominator != 1 for c in coeffs):
+    interpolated = _interpolate(primes[:-1], counts[:-1])
+    if interpolated is None:
         raise CheckError(
-            f"interpolated count for p={spec.p} is not an integer polynomial: "
-            f"{coeffs}"
+            f"interpolated count for p={spec.p} is not an integer polynomial"
         )
-    interpolated = tuple(int(c) for c in coeffs)
     held_out = evaluate_polynomial(interpolated, primes[-1])
     if held_out != counts[-1]:
         raise CheckError(
@@ -427,28 +422,27 @@ def counting_polynomial(spec: NormalFormSpec) -> tuple[int, ...]:
     return (0,) * spec.q1 + interpolated
 
 
-def _lagrange_coefficients(
-    samples: list[tuple[Fraction, Fraction]]
-) -> list[Fraction]:
-    degree_bound = len(samples)
-    result = [Fraction(0)] * degree_bound
-    for i, (xi, yi) in enumerate(samples):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            # Multiply the running basis polynomial by (t - xj).
-            shifted = [Fraction(0)] + basis
-            basis = [
-                s - xj * b
-                for s, b in zip(shifted, basis + [Fraction(0)])
-            ]
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            result[k] += scale * c
-    return result
+def _interpolate(nodes: list[int], values: list[int]) -> tuple[int, ...] | None:
+    """Integer coefficients (ascending) of the polynomial through the samples.
+
+    Newton divided differences by exact integer division, then Horner's
+    rule: at integer nodes a polynomial has integer coefficients iff every
+    divided difference is an integer, so a nonzero remainder gives None.
+    """
+    newton, column = [values[0]], values
+    for k in range(1, len(nodes)):
+        pairs = zip(column, column[1:], nodes, nodes[k:])
+        steps = [divmod(b - a, y - x) for a, b, x, y in pairs]
+        if any(r for _, r in steps):
+            return None
+        column = [q for q, _ in steps]
+        newton.append(column[0])
+    coeffs: list[int] = []
+    for node, c in zip(reversed(nodes), reversed(newton)):
+        # coeffs * (t - node) + c
+        coeffs = [a - node * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += c
+    return tuple(coeffs)
 
 
 def evaluate_polynomial(coeffs: tuple[int, ...], t: int) -> int:

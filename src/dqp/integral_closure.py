@@ -4,10 +4,11 @@ For a monomial ideal I in n variables, a monomial x^a lies in the
 integral closure of I exactly when a is in the Newton polyhedron
 conv(exponents of generators) + R_{>=0}^n.  Route one decides that
 membership by exact rational feasibility: find mu_g >= 0 summing to 1
-with sum mu_g * g <= a componentwise, via an integer-preserving
-phase-1 simplex (Edmonds 1967, Bareiss 1968): every row is held in
-`int`, scaled by the last pivot element, and every update divides
-exactly, so nothing is rounded and no rational is built.  Route two is
+with sum mu_g * g <= a componentwise, via an integer-pivoting phase-1
+simplex on the condensed (Tucker) tableau, one column per nonbasic
+variable (Edmonds 1967, Bareiss 1968): every cell is held in `int`,
+scaled by the last pivot element, and every update divides exactly, so
+nothing is rounded and no rational is built.  Route two is
 the valuative criterion: x^a is in the closure iff for every monomial
 curve t -> (t^{w_1}, ..., t^{w_n}) with integer w >= 0 the pullback order
 <w, a> is at least the minimal generator order min_g <w, g>.  Checking
@@ -57,10 +58,10 @@ __all__ = [
 # that NEWTON_CELL_LIMIT admits (195 generators in 4 variables bound 19,502).
 FACET_RAY_LIMIT = 19502
 
-# The Newton simplex's tableau has n + 1 rows of g + n + 1 integer cells
-# (n variables, g generators) and every pivot rewrites all of them.  The
-# slowest case measured at this limit, 330 generators in 2 variables,
-# takes about 0.03 s.
+# Caps (n + 1)(g + n + 1), n variables and g generators: the cells of the
+# phase-1 tableau with a column per slack, which bounds the condensed
+# (n + 1) x (g + 1) tableau the simplex rewrites on every pivot.  The slowest
+# case measured at this limit, 330 generators in 2 variables, takes ~0.02 s.
 NEWTON_CELL_LIMIT = 1000
 
 DEFAULT_RANDOM_WITNESSES = 50
@@ -75,11 +76,10 @@ class Monomial:
     def __post_init__(self) -> None:
         if not self.exponents:
             raise ValidationError("a monomial needs at least one variable")
-        for e in self.exponents:
-            if not is_int(e) or e < 0:
-                raise ValidationError(
-                    f"exponents must be nonnegative integers (got {self.exponents})"
-                )
+        if not _naturals(self.exponents):
+            raise ValidationError(
+                f"exponents must be nonnegative integers (got {self.exponents})"
+            )
 
     @property
     def variable_count(self) -> int:
@@ -153,13 +153,13 @@ def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
 
 
 def require_newton_tableau(variable_count: int, generator_count: int) -> None:
-    """Refuse a Newton simplex tableau of more than NEWTON_CELL_LIMIT cells."""
-    rows, columns = variable_count + 1, generator_count + variable_count + 1
-    if rows * columns > NEWTON_CELL_LIMIT:
+    """Refuse a Newton simplex past NEWTON_CELL_LIMIT: (n + 1)(g + n + 1) cells."""
+    cells = (variable_count + 1) * (generator_count + variable_count + 1)
+    if cells > NEWTON_CELL_LIMIT:
         raise BudgetError(
-            f"the Newton simplex needs a {rows} x {columns} tableau "
-            f"({rows * columns} cells, limit {NEWTON_CELL_LIMIT})",
-            required=rows * columns,
+            f"{generator_count} generators in {variable_count} variables bound "
+            f"the Newton tableau at {cells} cells (limit {NEWTON_CELL_LIMIT})",
+            required=cells,
         )
 
 
@@ -169,7 +169,7 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
     Feasible iff there are mu_g >= 0 with sum mu_g = 1 and
     sum mu_g * exponent(g) <= exponent(m) componentwise; the simplex alone
     decides, with no degree pre-test.  Refuses, before building any row, a
-    tableau of more than NEWTON_CELL_LIMIT cells.
+    tableau bound past NEWTON_CELL_LIMIT.
     """
     ideal._check_dimension(m)
     require_newton_tableau(ideal.variable_count, len(ideal.generators))
@@ -179,57 +179,55 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
 def _simplex_feasible(points: list[tuple[int, ...]], bounds: tuple[int, ...]) -> bool:
     """Phase-1 simplex: is some convex combination of the points <= bounds?
 
-    Columns are one mu-variable per point and one slack per coordinate
-    row; an artificial variable, basic on the convexity row sum mu = 1,
-    is the phase-1 objective.  While it is basic the reduced costs are
-    minus the convexity row, so that row is the objective row, and the
-    problem is feasible as soon as the artificial's value is 0 or it
-    leaves the basis.  Its own column is never needed: it cannot
-    re-enter.  Each row holds D times the true row in int, D the last
-    pivot element; a pivot divides exactly by D, and since pivots are
-    positive D stays positive, so ratios compare by cross-multiplication.
-    Bland's rule on both pivot choices, so cycling cannot occur.
+    One mu per point, one slack per coordinate row, and an artificial,
+    basic on the convexity row sum mu = 1, whose value is the objective:
+    while it is basic its row is the objective row, and the problem is
+    feasible once its value is 0 or it leaves the basis (it never
+    re-enters).  The tableau is condensed (Tucker), a row per basic and a
+    column per nonbasic variable plus the right-hand side, (n + 1) x
+    (g + 1) cells holding D times the true tableau in int, D the last
+    pivot (Edmonds 1967).  A pivot on P = T[r][s] sets T[i][j] to the exact
+    quotient (T[i][j] * P - T[i][s] * T[r][j]) / D, keeps row r, negates
+    column s and stores D at (r, s).  Pivots are positive, so ratios
+    compare by cross-multiplication.  Bland's rule on both choices, so
+    cycling cannot occur.
     """
     nvars, nrows = len(points), len(bounds)
-    width = nvars + nrows  # the right-hand side is column `width`
-    tableau = []
-    for i, bound in enumerate(bounds):
-        row = [p[i] for p in points] + [0] * nrows + [bound]
-        row[nvars + i] = 1
-        tableau.append(row)
-    tableau.append([1] * nvars + [0] * nrows + [1])
-    # `width` labels the artificial, the largest index, for Bland's rule.
-    basis = list(range(nvars, width)) + [width]
+    tableau = [[p[i] for p in points] + [bound] for i, bound in enumerate(bounds)]
+    objective = [1] * (nvars + 1)
+    tableau.append(objective)
+    # Labels: mu_j is j, the slacks follow, the artificial is the largest.
+    basis = list(range(nvars, nvars + nrows + 1))
+    columns = list(range(nvars))
     scale = 1
-    while tableau[nrows][width]:
-        objective = tableau[nrows]
-        entering = next((j for j in range(width) if objective[j] > 0), None)
-        if entering is None:
+    while objective[nvars]:
+        s = label = None
+        for j, coeff in enumerate(objective[:nvars]):
+            if coeff > 0 and (label is None or columns[j] < label):
+                s, label = j, columns[j]
+        if s is None:
             return False
-        # The convexity row has a positive entry here, so a pivot exists.
-        pivot_row = None
-        for r, row in enumerate(tableau):
-            coeff = row[entering]
+        # The artificial's row is eligible; its label, the largest, loses ties.
+        pivot_row, prow = nrows, objective
+        for r, row in enumerate(tableau[:nrows]):
+            coeff = row[s]
             if coeff > 0:
-                if pivot_row is None:
-                    pivot_row = r
-                    continue
-                best = tableau[pivot_row]
-                lhs, rhs = row[width] * best[entering], best[width] * coeff
+                lhs, rhs = row[nvars] * prow[s], prow[nvars] * coeff
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[pivot_row]):
-                    pivot_row = r
-        prow = tableau[pivot_row]
-        pivot = prow[entering]
-        for r, row in enumerate(tableau):
-            if r != pivot_row:
-                factor = row[entering]
-                tableau[r] = [
-                    (v * pivot - factor * w) // scale for v, w in zip(row, prow)
-                ]
-        scale = pivot
+                    pivot_row, prow = r, row
         if pivot_row == nrows:
             return True
-        basis[pivot_row] = entering
+        pivot = prow[s]
+        for r, row in enumerate(tableau):
+            if r != pivot_row:
+                factor = row[s]
+                row = [(v * pivot - factor * w) // scale for v, w in zip(row, prow)]
+                row[s] = -factor
+                tableau[r] = row
+        prow[s] = scale
+        scale = pivot
+        objective = tableau[nrows]
+        basis[pivot_row], columns[s] = columns[s], basis[pivot_row]
     return True
 
 
@@ -247,15 +245,19 @@ def in_integral_closure_valuative(
     ideal._check_dimension(m)
     n, gens = ideal.variable_count, [g.exponents for g in ideal.generators]
     for w in witnesses:
-        if len(w) != n or not any(w) or not all(is_int(v) and v >= 0 for v in w):
+        if len(w) != n or not _naturals(w) or not any(w):
             raise ValidationError(
                 f"a witness is {n} nonnegative ints, not all zero (got {w})"
             )
-    return all(_dot(w, m.exponents) >= min(_dot(w, g) for g in gens) for w in witnesses)
+    return all(
+        sum(map(mul, w, m.exponents)) >= min(sum(map(mul, w, g)) for g in gens)
+        for w in witnesses
+    )
 
 
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
+def _naturals(values) -> bool:
+    """is_int(v) and v >= 0 for every value, in one pass; plain ints skip is_int."""
+    return all((type(v) is int or is_int(v)) and v >= 0 for v in values)
 
 
 def default_witnesses(variable_count: int, seed: int | str = 0) -> list[tuple[int, ...]]:
@@ -340,7 +342,7 @@ def _cut(
     means the combinatorial test: they share at least n - 1 zero rows (the
     cone has dimension n + 1), and no third ray is zero on all of those.
     """
-    values = [_dot(w, g) - c for w, c, _ in rays]
+    values = [sum(map(mul, w, g)) - c for w, c, _ in rays]
     holders = [0] * bit.bit_length()  # holders[j]: the rays zero on row j
     positive, every, kept = 0, (1 << len(rays)) - 1, []
     for i, (w, c, zeros) in enumerate(rays):
@@ -382,7 +384,7 @@ def in_integral_closure_facets(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership by checking every enumerated supporting inequality."""
     ideal._check_dimension(m)
     return all(
-        _dot(normal, m.exponents) >= support
+        sum(map(mul, normal, m.exponents)) >= support
         for normal, support in newton_facet_normals(ideal)
     )
 

@@ -35,8 +35,6 @@ is all the intersection number consumes.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import factorial
 
 from .chow import Bidegree, BidegreeSystem, intersection_number_ring
 from .errors import ValidationError, is_int
@@ -92,38 +90,42 @@ def le_number_via_chow(p: int, i: int) -> int:
 
 def _bareiss_det(matrix: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
-    size, sign, prev = len(m), 1, 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+    m, sign, prev = list(matrix), 1, 1
+    while len(m) > 1:
+        if m[0][0] == 0:
+            swap = next((r for r, row in enumerate(m) if row[0]), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
+            m[0], m[swap] = m[swap], m[0]
             sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                # Exact division: each entry is a minor of the input.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+        # Drop the pivot's row and column; each division is exact, since
+        # every entry is a minor of the input.
+        (pivot, *rest), *below = m
+        m = [
+            [(v * pivot - row[0] * w) // prev for v, w in zip(row[1:], rest)]
+            for row in below
+        ]
+        prev = pivot
+    return sign * m[0][0]
 
 
 def _order_at_zero(values: list[int]) -> int:
     """Order at 0 of the polynomial taking these values at t = 0, 1, ...
 
     Forward differences give its Newton form, which Horner's rule expands
-    into monomial coefficients; the zero polynomial gets len(values).
+    into monomial coefficients scaled by len(values)!, all integers; the
+    zero polynomial gets len(values).
     """
     diffs = []
     while values:
         diffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    coeffs: list[Fraction] = []
+    coeffs, weight = [], 1
     for k in reversed(range(len(diffs))):
-        # coeffs * (t - k) + Delta^k / k!
+        # coeffs * (t - k) + Delta^k * N! / k!, N = len(diffs)
+        weight *= k + 1
         coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-        coeffs[0] += Fraction(diffs[k], factorial(k))
+        coeffs[0] += weight * diffs[k]
     return next((d for d, c in enumerate(coeffs) if c), len(coeffs))
 
 

@@ -15,7 +15,6 @@ and read back "10" before "2".
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -108,6 +107,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
+        import csv  # only --format csv pays for it
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["section", "key", "value", "detail"])

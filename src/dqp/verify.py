@@ -354,21 +354,13 @@ def _random_ideal(
 def _square_reduction_pair(
     p: int,
 ) -> tuple[integral_closure.MonomialIdeal, integral_closure.MonomialIdeal]:
-    maximal = integral_closure.MonomialIdeal(
-        p,
-        tuple(
-            integral_closure.Monomial(tuple(int(i == j) for j in range(p)))
-            for i in range(p)
-        ),
-    )
-    squares = integral_closure.MonomialIdeal(
-        p,
-        tuple(
-            integral_closure.Monomial(tuple(2 * int(i == j) for j in range(p)))
-            for i in range(p)
-        ),
-    )
-    return squares, integral_closure.power_ideal(maximal, 2)
+    def diagonal(e: int) -> integral_closure.MonomialIdeal:
+        units = (tuple(e * int(i == j) for j in range(p)) for i in range(p))
+        return integral_closure.MonomialIdeal(
+            p, tuple(map(integral_closure.Monomial, units))
+        )
+
+    return diagonal(2), integral_closure.power_ideal(diagonal(1), 2)
 
 
 def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:

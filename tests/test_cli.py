@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -199,6 +200,43 @@ def test_chow_fulton_budget_exit(capsys):
     )
     assert code == 3
     assert "limit" in err
+
+
+@pytest.mark.parametrize("algorithm", ["both", "ring", "fulton"])
+def test_chow_refuses_an_answer_past_the_digit_limit(capsys, algorithm):
+    'two 3000-digit classes give a 6000-digit answer; it is refused before any route'
+    nines = "9" * 3000
+    started = time.perf_counter()
+    code, _, err = run(
+        capsys, "chow", "--n", "2", "--m", "0", "--classes", f"{nines},0;{nines},0",
+        "--algorithm", algorithm,
+    )
+    assert code == 3
+    assert "6001 digits" in err and "4300" in err
+    assert time.perf_counter() - started < 1
+    # 2000 nines each bound the answer by 4001 digits, which are admitted
+    short = "9" * 2000
+    code, doc, _, _ = run_json(
+        capsys, "chow", "--n", "2", "--m", "0", "--classes", f"{short},0;{short},0",
+        "--algorithm", algorithm,
+    )
+    assert code == 0
+    assert doc["results"]["intersection_number"] == int(short) ** 2
+
+
+def test_chow_digit_limit_zero_means_none(capsys):
+    'with the interpreter limit lifted (0), the same 6000-digit answer is computed'
+    nines = "9" * 3000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, doc, _, _ = run_json(
+            capsys, "chow", "--n", "2", "--m", "0", "--classes", f"{nines},0;{nines},0"
+        )
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert doc["results"]["intersection_number"] == int(nines) ** 2
 
 
 def test_closure_membership(capsys):

@@ -1,9 +1,11 @@
+import concurrent.futures
 import itertools
 import os
+import random
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -185,12 +187,13 @@ def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
     'the pool is sized by y-vectors and cores, whatever jobs asks for'
     sizes = []
 
-    class RecordingExecutor(ThreadPoolExecutor):
+    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(ffcount, "ThreadPoolExecutor", RecordingExecutor)
+    # count_points imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert count_points(NormalFormSpec(p=1), 3, jobs=10**6).observed_count == 2
     assert sizes == [3]
@@ -331,6 +334,48 @@ def test_counting_polynomial_rejects_a_wrong_count(monkeypatch, bumped, message)
     monkeypatch.setattr(ffcount, "count_nonzero_y_slice", off_by_one)
     with pytest.raises(CheckError, match=message):
         counting_polynomial(spec)
+
+
+def fraction_lagrange(nodes, values):
+    'the oracle: ascending Fraction coefficients by the Lagrange basis'
+    result = [Fraction(0)] * len(nodes)
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                # the running basis polynomial times (t - xj)
+                basis = [s - xj * b for s, b in zip([0, *basis], [*basis, 0])]
+                denom *= xi - xj
+        for k, c in enumerate(basis):
+            result[k] += yi / denom * c
+    return result
+
+
+def test_integer_interpolation_matches_fraction_lagrange():
+    'integer polynomials come back exactly; any fractional coefficient gives None'
+    rng = random.Random("test:interpolation")
+    seen = Counter()
+    for case in range(400):
+        nodes = sorted(rng.sample(range(-40, 200), rng.randint(1, 12)))
+        if case % 2:
+            coeffs = [rng.randint(-10**6, 10**6) for _ in nodes]
+            values = [evaluate_polynomial(tuple(coeffs), x) for x in nodes]
+        else:
+            values = [rng.randint(-10**4, 10**4) for _ in nodes]
+        expected = fraction_lagrange(nodes, values)
+        got = ffcount._interpolate(nodes, values)
+        if all(c.denominator == 1 for c in expected):
+            assert got == tuple(int(c) for c in expected), (nodes, values)
+            seen["integer"] += 1
+        else:
+            assert got is None, (nodes, values)
+            seen["fractional"] += 1
+    assert seen["integer"] > 200 and seen["fractional"] > 150, seen
+    # t(t - 1) / 2 is integer at every integer node, yet not an integer polynomial
+    nodes = [3, 5, 7]
+    values = [x * (x - 1) // 2 for x in nodes]
+    assert fraction_lagrange(nodes, values) == [0, Fraction(-1, 2), Fraction(1, 2)]
+    assert ffcount._interpolate(nodes, values) is None
 
 
 def test_counting_polynomial_matches_sympy_factorization():

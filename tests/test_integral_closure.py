@@ -434,6 +434,74 @@ def test_newton_vs_facets_seeded():
         assert in_integral_closure_newton(i, m) == in_integral_closure_facets(i, m)
 
 
+def full_tableau_feasible(points, bounds):
+    'the oracle: the same Bland-rule phase 1 on the full (n + 1) x (g + n + 1) tableau'
+    nvars, nrows = len(points), len(bounds)
+    width = nvars + nrows
+    tableau = []
+    for i, bound in enumerate(bounds):
+        row = [p[i] for p in points] + [0] * nrows + [bound]
+        row[nvars + i] = 1
+        tableau.append(row)
+    tableau.append([1] * nvars + [0] * nrows + [1])
+    basis = list(range(nvars, width)) + [width]
+    scale = 1
+    while tableau[nrows][width]:
+        objective = tableau[nrows]
+        entering = next((j for j in range(width) if objective[j] > 0), None)
+        if entering is None:
+            return False
+        pivot_row = None
+        for r, row in enumerate(tableau):
+            coeff = row[entering]
+            if coeff > 0:
+                if pivot_row is None:
+                    pivot_row = r
+                    continue
+                best = tableau[pivot_row]
+                lhs, rhs = row[width] * best[entering], best[width] * coeff
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[pivot_row]):
+                    pivot_row = r
+        prow = tableau[pivot_row]
+        pivot = prow[entering]
+        for r, row in enumerate(tableau):
+            if r != pivot_row:
+                factor = row[entering]
+                tableau[r] = [
+                    (v * pivot - factor * w) // scale for v, w in zip(row, prow)
+                ]
+        scale = pivot
+        if pivot_row == nrows:
+            return True
+        basis[pivot_row] = entering
+    return True
+
+
+def test_condensed_simplex_matches_the_full_tableau():
+    'small entries make ratio ties common; both answers occur thousands of times'
+    rng = random.Random("test:condensed-simplex")
+    cases = []
+    for _ in range(20000):
+        n, g, top = rng.randint(1, 6), rng.randint(1, 7), rng.choice((2, 3, 5, 9))
+        points = [tuple(rng.randrange(top) for _ in range(n)) for _ in range(g)]
+        cases.append((points, tuple(rng.randrange(top) for _ in range(n))))
+    answers = []
+
+    def decide():
+        for points, bounds in cases:
+            answers.append(integral_closure._simplex_feasible(points, bounds))
+
+    # a broken pivot can cycle; that fails here rather than hanging the run
+    worker = threading.Thread(target=decide, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), f"the condensed simplex cycled on {cases[len(answers)]}"
+    expected = [full_tableau_feasible(points, bounds) for points, bounds in cases]
+    wrong = [case for case, a, b in zip(cases, answers, expected) if a != b]
+    assert not wrong, wrong[:3]
+    assert 4000 < sum(expected) < 16000
+
+
 def test_valuative_examples():
     j = squares_ideal(2)
     witnesses = [(1, 0), (0, 1), (1, 1), (2, 1)]

@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import comb, prod
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -159,6 +160,37 @@ def test_order_at_zero_interpolates_exactly():
         ]
         order = next(d for d, c in enumerate(coeffs) if c)
         assert _order_at_zero(values) == order
+
+
+def fraction_order_at_zero(values):
+    'the oracle: Newton form in Fraction, Delta^k / k! expanded by Horner'
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    coeffs = []
+    for k in reversed(range(len(diffs))):
+        coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += Fraction(diffs[k], factorial(k))
+    return next((d for d, c in enumerate(coeffs) if c), len(coeffs))
+
+
+def test_order_at_zero_matches_the_fraction_oracle():
+    'integer polynomials of every order, and arbitrary values whose fit is rational'
+    rng = random.Random("test:order-at-zero")
+    orders = set()
+    for case in range(600):
+        size = rng.randint(1, 11)
+        if case % 3:
+            order = rng.randint(0, size)
+            coeffs = [0] * order + [rng.randint(-50, 50) for _ in range(size - order)]
+            values = [sum(c * t**d for d, c in enumerate(coeffs)) for t in range(size)]
+        else:
+            values = [rng.randint(-10**3, 10**3) * rng.randint(0, 1) for _ in range(size)]
+        expected = fraction_order_at_zero(values)
+        assert _order_at_zero(values) == expected, values
+        orders.add(expected)
+    assert orders == set(range(12))
 
 
 def test_zero_polynomial_has_no_degree():
