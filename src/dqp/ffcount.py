@@ -330,9 +330,10 @@ def count_points(
     of one slice, but the counter holds the interpreter lock: jobs > 1 is
     never faster than jobs = 1.
     """
+    for name, value in (("budget", budget), ("jobs", jobs)):
+        if not is_int(value) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer (got {value})")
     _require_odd_modulus(prime)
-    if not is_int(jobs) or jobs < 1:
-        raise ValidationError(f"jobs must be a positive integer (got {jobs})")
     # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
     # refuse without computing the power, whose size n alone can blow up.
     enumerated = None if spec.n > budget.bit_length() else prime**spec.n

@@ -169,6 +169,36 @@ def test_lecycles_total_cells_match_the_systems(capsys, monkeypatch, p):
     assert f"refuses {total} ring cell updates" in err
 
 
+def test_lecycles_skips_the_indices_the_subset_sum_refuses(capsys, monkeypatch):
+    'the skip is the subset sum\'s own refusal, raised before it walks a subset'
+    from dqp import chow
+    from dqp.errors import BudgetError
+
+    def refuse(system):
+        raise BudgetError("refused", required=None)
+
+    monkeypatch.setattr(chow, "intersection_number_fulton", refuse)
+    code, doc, _, _ = run_json(capsys, "lecycles", "--p", "3")
+    assert code == 0
+    check = doc["checks"][1]
+    assert check["name"] == "ring-vs-subset-sum"
+    assert check["status"] == "pass"
+    assert check["detail"] == (
+        "cross-checked i = none; skipped i = 1, 2, 3 "
+        "(class count exceeds subset budget 24)"
+    )
+
+
+def test_lecycles_skips_systems_past_the_subset_limit(capsys):
+    'p = 6 gives 25 classes for every i, one past the limit of 24'
+    code, doc, _, _ = run_json(capsys, "lecycles", "--p", "6")
+    assert code == 0
+    assert doc["checks"][1]["detail"] == (
+        "cross-checked i = none; skipped i = 1, 2, 3, 4, 5, 6 "
+        "(class count exceeds subset budget 24)"
+    )
+
+
 def test_lecycles_rejects_p1(capsys):
     code, _, err = run(capsys, "lecycles", "--p", "1")
     assert code == 2
@@ -291,6 +321,23 @@ def test_closure_past_the_ray_budget_answers_with_newton_alone(capsys):
     assert [c["name"] for c in doc["checks"]] == ["witness-refutation-soundness"]
 
 
+def test_closure_skips_the_facet_route_it_refuses(capsys, monkeypatch):
+    'the skip is the facet route\'s own refusal, raised before it reads a generator'
+    from dqp.errors import BudgetError
+
+    def refuse(ideal):
+        raise BudgetError("refused", required=None)
+
+    monkeypatch.setattr(integral_closure, "newton_facet_normals", refuse)
+    code, doc, _, _ = run_json(
+        capsys, "closure", "--ideal", "y1^2,y2^2", "--monomial", "y1*y2"
+    )
+    assert code == 0
+    assert doc["results"]["member"] is True
+    assert "facet_route" not in doc["results"]
+    assert [c["name"] for c in doc["checks"]] == ["witness-refutation-soundness"]
+
+
 def test_closure_non_member(capsys):
     code, doc, _, _ = run_json(
         capsys, "closure", "--ideal", "y1^2,y2^2", "--monomial", "y1"
@@ -343,6 +390,29 @@ def test_closure_oversized_tableau_refused(capsys, monkeypatch):
     )
     assert code == 3
     assert "tableau" in err
+
+
+_MINIMAL_3001 = ",".join(f"y1^{j}*y2^{3000 - j}" for j in range(3001))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--ideal", _MINIMAL_3001, "--monomial", "y1*y2"),
+        ("--mode", "reduction", "--ideal", "y1,y2", "--full", _MINIMAL_3001),
+        ("--ideal", ",".join(["y1", "y2"] + ["y1*y2"] * 2999), "--monomial", "y1"),
+    ],
+    ids=["ideal", "full", "redundant-ideal"],
+)
+def test_closure_refuses_each_parsed_list_at_its_count(capsys, monkeypatch, argv):
+    '3001 generators in y1, y2, minimal or not: refused before any tuple is built'
+    _no_tuple_wider_than(monkeypatch, 0)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "closure", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "3001 generators" in err
 
 
 def _no_tuple_wider_than(monkeypatch, width):
@@ -451,6 +521,17 @@ def test_count_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("DQP_BUDGET", "not-a-number")
     code, _, err = run(capsys, "count", "--p", "2", "--prime", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_count_nonpositive_budget_is_invalid(capsys, monkeypatch, budget):
+    'the flag and DQP_BUDGET are both checked by count_points, and exit 2'
+    code, out, err = run(capsys, "count", "--p", "1", "--prime", "3", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "budget must be a positive integer" in err
+    monkeypatch.setenv("DQP_BUDGET", budget)
+    assert run(capsys, "count", "--p", "1", "--prime", "3")[0] == 2
 
 
 def test_count_jobs_equivalence(capsys):

@@ -122,6 +122,13 @@ def test_target_independence_exhaustive():
             assert len(counts) == 1
 
 
+@pytest.mark.parametrize("budget", [0, -5, True, 10.0])
+def test_count_budget_must_be_a_positive_int(budget):
+    'checked before the modulus: an even modulus does not mask it'
+    with pytest.raises(ValidationError, match="budget must be a positive integer"):
+        count_points(NormalFormSpec(p=1), 4, budget=budget)
+
+
 def test_count_budget_refusal():
     with pytest.raises(BudgetError) as info:
         count_points(NormalFormSpec(p=3), 11, budget=10**6)

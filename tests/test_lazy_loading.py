@@ -1,61 +1,24 @@
 """Each command executes only the dqp modules it uses.
 
 ``import dqp`` registers every submodule in ``sys.modules`` as a lazy
-module that runs on its first attribute access.  Each case runs in a
-fresh interpreter, because the pytest process has executed every module
-already.  The child reports which ``dqp.*`` modules are registered and
-which have executed: a lazy module turns into a plain ``ModuleType`` when
-it runs, and reading its type does not run it.
+module that runs on its first attribute access.  Each case reads the
+registered and executed ``dqp.*`` modules of a fresh interpreter (the
+``child`` fixture, see conftest.py).
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAZY = ["chow", "core", "ffcount", "integral_closure", "le_engine", "report", "verify"]
 
-CHILD = """
-import contextlib, io, json, sys, types
-argv = json.loads(sys.argv[1])
-{statement}
-code = None
-if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = dqp.cli.main(argv)
-dqp_modules = {{n: m for n, m in sys.modules.items() if n.startswith("dqp.")}}
-executed = [n for n, m in dqp_modules.items() if type(m) is types.ModuleType]
-print(json.dumps([code, sorted(dqp_modules), sorted(executed)]))
-"""
 
-
-def loaded(argv=None, statement="import dqp.cli"):
-    """(exit code or None, registered dqp.* modules, executed ones) in a child."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("DQP_BUDGET", None)
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD.format(statement=statement), json.dumps(argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    code, registered, executed = json.loads(done.stdout.splitlines()[-1])
-    return code, registered, [name.removeprefix("dqp.") for name in executed]
-
-
-def test_import_executes_only_errors():
-    _, registered, executed = loaded(statement="import dqp")
+def test_import_executes_only_errors(child):
+    _, registered, executed, _ = child(statement="import dqp")
     assert registered == sorted(f"dqp.{name}" for name in LAZY + ["errors"])
     assert executed == ["errors"]
 
 
-def test_import_cli_registers_every_submodule():
+def test_import_cli_registers_every_submodule(child):
     'perfbench/spans.py finds the modules it wraps in sys.modules after this import'
-    _, registered, executed = loaded()
+    _, registered, executed, _ = child()
     assert registered == sorted(f"dqp.{name}" for name in LAZY + ["cli", "errors"])
     assert executed == ["cli", "errors", "report"]
 
@@ -73,13 +36,13 @@ def test_import_cli_registers_every_submodule():
     ],
     ids=["invariants", "lecycles", "chow", "closure", "count", "verify-closure", "verify"],
 )
-def test_command_executes_only_its_modules(argv, modules):
-    code, _, executed = loaded(argv)
+def test_command_executes_only_its_modules(child, argv, modules):
+    code, _, executed, _ = child(argv)
     assert code == 0
     assert executed == sorted(set(modules) | {"cli", "errors", "report"})
 
 
-def test_every_public_name_resolves():
+def test_every_public_name_resolves(child):
     statement = (
         "import dqp\n"
         "from dqp import *\n"
@@ -89,11 +52,11 @@ def test_every_public_name_resolves():
         "assert dqp.run_verify is dqp.verify.run_verify\n"
         "assert dqp.Bidegree is sys.modules['dqp.chow'].Bidegree\n"
     )
-    _, _, executed = loaded(statement=statement)
+    executed = child(statement=statement).executed
     assert executed == sorted(LAZY + ["errors"])
 
 
-def test_concurrent_first_use_through_the_package():
+def test_concurrent_first_use_through_the_package(child):
     'threads that first touch the public names together all get them'
     statement = (
         "import dqp, threading\n"
@@ -113,5 +76,5 @@ def test_concurrent_first_use_through_the_package():
         "assert not any(t.is_alive() for t in threads)\n"
         "assert not errors, errors\n"
     )
-    _, _, executed = loaded(statement=statement)
+    executed = child(statement=statement).executed
     assert {"chow", "ffcount", "integral_closure", "verify"} <= set(executed)

@@ -1,55 +1,24 @@
 """No import and no subcommand loads a third-party module; numpy least of all.
 
-Each case runs in a fresh interpreter, because the pytest process may
-have imported third-party modules already.  The child blocks numpy
-(``sys.modules["numpy"] = None`` makes every import of it fail), then
-lists the modules that the import or command added to ``sys.modules``
-outside the standard library and the package itself.
+Each case reads the top-level modules that the import or command added
+in a fresh interpreter with numpy blocked (the ``child`` fixture, see
+conftest.py), less the standard library and the package itself.
 """
 
-import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 
-CHILD = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None
-before = set(sys.modules)
-argv = json.loads(sys.argv[1])
-if argv is None:
-    import {module}
-    code = None
-else:
-    from dqp.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-added = {{name.partition(".")[0] for name in set(sys.modules) - before}}
-print(json.dumps([code, sorted(added - set(sys.stdlib_module_names) - {{"dqp"}})]))
-"""
-
-
-def third_party_loaded(argv=None, module="dqp"):
+def third_party_loaded(child, argv=None, module="dqp"):
     """(exit code or None, third-party modules loaded) in a fresh child."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("DQP_BUDGET", None)
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD.format(module=module), json.dumps(argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
-    return code, loaded
+    result = child(argv) if argv is not None else child(statement=f"import {module}")
+    return result.code, sorted(result.added - set(sys.stdlib_module_names) - {"dqp"})
 
 
 @pytest.mark.parametrize("module", ["dqp", "dqp.cli"])
-def test_import_leaves_numpy_unloaded(module):
-    assert third_party_loaded(module=module) == (None, [])
+def test_import_leaves_numpy_unloaded(child, module):
+    assert third_party_loaded(child, module=module) == (None, [])
 
 
 @pytest.mark.parametrize(
@@ -63,8 +32,8 @@ def test_import_leaves_numpy_unloaded(module):
     ],
     ids=lambda argv: argv[0],
 )
-def test_commands_without_point_counts_leave_numpy_unloaded(argv):
-    assert third_party_loaded(argv) == (0, [])
+def test_commands_without_point_counts_leave_numpy_unloaded(child, argv):
+    assert third_party_loaded(child, argv) == (0, [])
 
 
 @pytest.mark.parametrize(
@@ -76,6 +45,6 @@ def test_commands_without_point_counts_leave_numpy_unloaded(argv):
     ],
     ids=["count-jobs-1", "count-jobs-2", "verify-ffcount"],
 )
-def test_point_counts_leave_numpy_unloaded(argv):
+def test_point_counts_leave_numpy_unloaded(child, argv):
     'with 2 jobs the slices are counted on worker threads'
-    assert third_party_loaded(argv) == (0, [])
+    assert third_party_loaded(child, argv) == (0, [])
