@@ -56,7 +56,6 @@ _EXPORTS = {
     "NormalFormSpec": "ffcount",
     "count_points": "ffcount",
     "counting_polynomial": "ffcount",
-    "Monomial": "integral_closure",
     "MonomialIdeal": "integral_closure",
     "in_integral_closure_facets": "integral_closure",
     "in_integral_closure_newton": "integral_closure",
@@ -94,7 +93,6 @@ __all__ = [
     "CheckError",
     "DqpError",
     "DqpParams",
-    "Monomial",
     "MonomialIdeal",
     "NormalFormSpec",
     "Report",

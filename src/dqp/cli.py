@@ -289,10 +289,8 @@ def _parse_ideal_text(text: str, prefixes: set[str]) -> list[dict[int, int]]:
     return [_parse_monomial_text(piece, prefixes) for piece in pieces]
 
 
-def _build_monomial(
-    exponents: dict[int, int], support: list[int]
-) -> integral_closure.Monomial:
-    return integral_closure.Monomial(tuple(exponents.get(i, 0) for i in support))
+def _build_monomial(exponents: dict[int, int], support: list[int]) -> tuple[int, ...]:
+    return tuple(exponents.get(i, 0) for i in support)
 
 
 def _monomial_string(pairs, prefix: str) -> str:
@@ -338,8 +336,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
     checks: list[Check] = []
     results: dict = {
         "ideal": ", ".join(
-            _monomial_string(zip(support, g.exponents), prefix)
-            for g in ideal.generators
+            _monomial_string(zip(support, g), prefix) for g in ideal.generators
         ),
         "variable_count": variable_count,
         "mode": args.mode,
@@ -378,8 +375,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
             len(support), tuple(_build_monomial(e, support) for e in full_exponents)
         )
         results["full"] = ", ".join(
-            _monomial_string(zip(support, g.exponents), prefix)
-            for g in full.generators
+            _monomial_string(zip(support, g), prefix) for g in full.generators
         )
         results["reduction"] = integral_closure.is_reduction(ideal, full)
     return Report(

@@ -287,6 +287,9 @@ def count_nonzero_y_slice(
     slices it runs at once, so that they solve each form once between
     them.
     """
+    for name, value in (("target", target), ("start", start), ("stop", stop)):
+        if not is_int(value):
+            raise ValidationError(f"{name} must be an integer (got {value!r})")
     _require_odd_prime(prime)
     if not 0 < target % prime:
         raise ValidationError(f"target must be nonzero mod {prime} (got {target})")
@@ -333,6 +336,8 @@ def count_points(
     for name, value in (("budget", budget), ("jobs", jobs)):
         if not is_int(value) or value < 1:
             raise ValidationError(f"{name} must be a positive integer (got {value})")
+    if not is_int(target):
+        raise ValidationError(f"target must be an integer (got {target!r})")
     _require_odd_modulus(prime)
     # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
     # refuse without computing the power, whose size n alone can blow up.

@@ -1,6 +1,7 @@
 """Monomial-ideal integral closure, decided two independent ways.
 
-For a monomial ideal I in n variables, a monomial x^a lies in the
+A monomial x^a in n variables is its exponent tuple a, n nonnegative
+ints; a monomial ideal I is a tuple of such generators.  x^a lies in the
 integral closure of I exactly when a is in the Newton polyhedron
 conv(exponents of generators) + R_{>=0}^n.  Route one decides that
 membership by exact rational feasibility: find mu_g >= 0 summing to 1
@@ -38,7 +39,6 @@ from operator import and_, le, mul
 from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
-    "Monomial",
     "MonomialIdeal",
     "power_ideal",
     "in_integral_closure_newton",
@@ -68,76 +68,48 @@ DEFAULT_RANDOM_WITNESSES = 50
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of a single monomial."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.exponents:
-            raise ValidationError("a monomial needs at least one variable")
-        if not _naturals(self.exponents):
-            raise ValidationError(
-                f"exponents must be nonnegative integers (got {self.exponents})"
-            )
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class MonomialIdeal:
     """Nonempty monomial ideal, held by a minimal generating set.
 
+    Each generator is an exponent tuple of variable_count nonnegative ints.
     Construction drops any generator divisible by another, so two
     presentations of the same ideal compare equal.
     """
 
     variable_count: int
-    generators: tuple[Monomial, ...]
+    generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not is_int(self.variable_count) or self.variable_count < 1:
             raise ValidationError(
                 f"variable_count must be a positive integer (got {self.variable_count})"
             )
-        if not self.generators:
+        generators = tuple(self.generators)  # a one-shot iterable is read once
+        if not generators:
             raise ValidationError("a monomial ideal needs at least one generator")
-        for g in self.generators:
-            if g.variable_count != self.variable_count:
-                raise ValidationError(
-                    f"generator {g.exponents} has {g.variable_count} variables, "
-                    f"ideal has {self.variable_count}"
-                )
-        distinct = {g.exponents: g for g in self.generators}
+        for g in generators:
+            self._check_dimension(g)
         # A proper divisor is lexicographically smaller, so in ascending
         # order each generator need only meet the minimal ones before it.
         minimal: list[tuple[int, ...]] = []
-        for e in sorted(distinct):
+        for e in sorted(set(generators)):
             if not any(all(map(le, h, e)) for h in minimal):
                 minimal.append(e)
         # Descending lexicographic order puts y1-heavy generators first,
         # matching the usual way these ideals are written.
-        object.__setattr__(
-            self, "generators", tuple(distinct[e] for e in reversed(minimal))
-        )
+        object.__setattr__(self, "generators", tuple(reversed(minimal)))
 
-    def contains_monomial(self, m: Monomial) -> bool:
+    def contains_monomial(self, m: tuple[int, ...]) -> bool:
         """Plain ideal membership: some generator divides m."""
         self._check_dimension(m)
-        e = m.exponents
-        return any(all(map(le, g.exponents, e)) for g in self.generators)
+        return any(all(map(le, g, m)) for g in self.generators)
 
-    def _check_dimension(self, m: Monomial) -> None:
-        if m.variable_count != self.variable_count:
+    def _check_dimension(self, m: tuple[int, ...]) -> None:
+        """Refuse anything but a tuple of variable_count nonnegative ints."""
+        n = self.variable_count
+        if not isinstance(m, tuple) or len(m) != n or not _naturals(m):
             raise ValidationError(
-                f"monomial {m.exponents} has {m.variable_count} variables, "
-                f"ideal has {self.variable_count}"
+                f"a monomial here is a tuple of {n} nonnegative ints (got {m})"
             )
 
 
@@ -145,10 +117,10 @@ def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
     """e-th power: all e-fold generator products, minimalized on construction."""
     if not is_int(e) or e < 1:
         raise ValidationError(f"the exponent must be a positive integer (got {e})")
-    products = []
-    for combo in itertools.combinations_with_replacement(ideal.generators, e):
-        total = tuple(sum(parts) for parts in zip(*(g.exponents for g in combo)))
-        products.append(Monomial(total))
+    products = (
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(ideal.generators, e)
+    )
     return MonomialIdeal(ideal.variable_count, tuple(products))
 
 
@@ -163,7 +135,7 @@ def require_newton_tableau(variable_count: int, generator_count: int) -> None:
         )
 
 
-def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
+def in_integral_closure_newton(ideal: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """Membership in the Newton polyhedron, by exact rational feasibility.
 
     Feasible iff there are mu_g >= 0 with sum mu_g = 1 and
@@ -173,10 +145,10 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: Monomial) -> bool:
     """
     ideal._check_dimension(m)
     require_newton_tableau(ideal.variable_count, len(ideal.generators))
-    return _simplex_feasible([g.exponents for g in ideal.generators], m.exponents)
+    return _simplex_feasible(ideal.generators, m)
 
 
-def _simplex_feasible(points: list[tuple[int, ...]], bounds: tuple[int, ...]) -> bool:
+def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ...]) -> bool:
     """Phase-1 simplex: is some convex combination of the points <= bounds?
 
     One mu per point, one slack per coordinate row, and an artificial,
@@ -232,7 +204,7 @@ def _simplex_feasible(points: list[tuple[int, ...]], bounds: tuple[int, ...]) ->
 
 
 def in_integral_closure_valuative(
-    ideal: MonomialIdeal, m: Monomial, witnesses: list[tuple[int, ...]]
+    ideal: MonomialIdeal, m: tuple[int, ...], witnesses: list[tuple[int, ...]]
 ) -> bool:
     """Curve criterion over the supplied weight vectors only.
 
@@ -243,14 +215,14 @@ def in_integral_closure_valuative(
     necessary.
     """
     ideal._check_dimension(m)
-    n, gens = ideal.variable_count, [g.exponents for g in ideal.generators]
+    n, gens = ideal.variable_count, ideal.generators
     for w in witnesses:
         if len(w) != n or not _naturals(w) or not any(w):
             raise ValidationError(
                 f"a witness is {n} nonnegative ints, not all zero (got {w})"
             )
     return all(
-        sum(map(mul, w, m.exponents)) >= min(sum(map(mul, w, g)) for g in gens)
+        sum(map(mul, w, m)) >= min(sum(map(mul, w, g)) for g in gens)
         for w in witnesses
     )
 
@@ -318,7 +290,7 @@ def newton_facet_normals(
             f"may hold {bound} rays (limit {FACET_RAY_LIMIT})",
             required=bound,
         )
-    first, *others = (g.exponents for g in ideal.generators)
+    first, *others = ideal.generators
     # Bit j < n of a zero set is the row w_j >= 0; bit n + k is generator k's.
     units = (1 << n) - 1
     rays = [((0,) * n, -1, units)] + [
@@ -380,11 +352,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def in_integral_closure_facets(ideal: MonomialIdeal, m: Monomial) -> bool:
+def in_integral_closure_facets(ideal: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """Membership by checking every enumerated supporting inequality."""
     ideal._check_dimension(m)
     return all(
-        sum(map(mul, normal, m.exponents)) >= support
+        sum(map(mul, normal, m)) >= support
         for normal, support in newton_facet_normals(ideal)
     )
 
@@ -394,7 +366,9 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
 
     A generator of full that sub already contains needs no simplex, since
     an ideal lies in its integral closure.  The tableau budget is checked
-    first, so an oversized sub is refused whichever generators skip it.
+    once, before any generator, so an oversized sub is refused whichever
+    generators skip the simplex; full's generators were validated when
+    full was built, so they go to the simplex unchecked.
     """
     if sub.variable_count != full.variable_count:
         raise ValidationError(
@@ -405,6 +379,6 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     if not all(full.contains_monomial(g) for g in sub.generators):
         return False
     return all(
-        sub.contains_monomial(g) or in_integral_closure_newton(sub, g)
+        sub.contains_monomial(g) or _simplex_feasible(sub.generators, g)
         for g in full.generators
     )

@@ -33,7 +33,6 @@ from dqp.ffcount import (
     evaluate_polynomial,
 )
 from dqp.integral_closure import (
-    Monomial,
     MonomialIdeal,
     default_witnesses,
     in_integral_closure_facets,
@@ -130,26 +129,26 @@ def test_criterion_7_integral_closure():
     started = time.perf_counter()
     for p in range(1, 7):
         maximal = MonomialIdeal(
-            p, tuple(Monomial(tuple(int(i == j) for j in range(p))) for i in range(p))
+            p, tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
         )
         squares = MonomialIdeal(
             p,
-            tuple(Monomial(tuple(2 * int(i == j) for j in range(p))) for i in range(p)),
+            tuple(tuple(2 * int(i == j) for j in range(p)) for i in range(p)),
         )
         assert is_reduction(squares, power_ideal(maximal, 2))
-    cubes = MonomialIdeal(2, (Monomial((3, 0)), Monomial((0, 3))))
-    assert in_integral_closure_newton(cubes, Monomial((2, 2)))
-    squares2 = MonomialIdeal(2, (Monomial((2, 0)), Monomial((0, 2))))
-    assert not in_integral_closure_newton(squares2, Monomial((1, 0)))
+    cubes = MonomialIdeal(2, ((3, 0), (0, 3)))
+    assert in_integral_closure_newton(cubes, (2, 2))
+    squares2 = MonomialIdeal(2, ((2, 0), (0, 2)))
+    assert not in_integral_closure_newton(squares2, (1, 0))
     for case in range(200):
         rng = random.Random(f"acceptance:closure:{case}")
         nvars = rng.randint(1, 4)
         gens = tuple(
-            Monomial(tuple(rng.randint(0, 5) for _ in range(nvars)))
+            tuple(rng.randint(0, 5) for _ in range(nvars))
             for _ in range(rng.randint(1, 5))
         )
         ideal = MonomialIdeal(nvars, gens)
-        m = Monomial(tuple(rng.randint(0, 7) for _ in range(nvars)))
+        m = tuple(rng.randint(0, 7) for _ in range(nvars))
         member = in_integral_closure_newton(ideal, m)
         assert member == in_integral_closure_facets(ideal, m)
         if member:

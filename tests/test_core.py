@@ -17,8 +17,8 @@ from dqp.core import (
 )
 from dqp.chow import Bidegree, BidegreeSystem
 from dqp.errors import BudgetError, ValidationError
-from dqp.ffcount import NormalFormSpec, count_points
-from dqp.integral_closure import Monomial, MonomialIdeal, default_witnesses, power_ideal
+from dqp.ffcount import NormalFormSpec, count_nonzero_y_slice, count_points
+from dqp.integral_closure import MonomialIdeal, default_witnesses, power_ideal
 from dqp.le_engine import build_le_system, det_multiplicity
 from dqp.verify import run_verify
 
@@ -211,10 +211,43 @@ def test_massey_identity_sweep():
             lambda: count_points(NormalFormSpec(p=1), 3, jobs=1.0), id="jobs-float"
         ),
         pytest.param(
-            lambda: MonomialIdeal(True, (Monomial((1,)),)), id="ideal-bool-width"
+            lambda: count_points(NormalFormSpec(1), 5, target=1.5), id="target-float"
         ),
         pytest.param(
-            lambda: power_ideal(MonomialIdeal(1, (Monomial((1,)),)), True),
+            lambda: count_points(NormalFormSpec(1), 5, target="1"), id="target-str"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 5, target=True), id="target-bool"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 5, target=1.0, jobs=2),
+            id="target-float-jobs",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1.5, 0, 5),
+            id="slice-target-float",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, True, 0, 5),
+            id="slice-target-bool",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1, 0.5, 5),
+            id="slice-start-float",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1, 0, 5.0),
+            id="slice-stop-float",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1, False, 5),
+            id="slice-start-bool",
+        ),
+        pytest.param(
+            lambda: MonomialIdeal(True, ((1,),)), id="ideal-bool-width"
+        ),
+        pytest.param(
+            lambda: power_ideal(MonomialIdeal(1, ((1,),)), True),
             id="power-bool",
         ),
         pytest.param(lambda: default_witnesses(True), id="witnesses-bool"),

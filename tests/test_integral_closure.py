@@ -12,7 +12,6 @@ from dqp.errors import BudgetError, ValidationError
 from dqp.integral_closure import (
     FACET_RAY_LIMIT,
     NEWTON_CELL_LIMIT,
-    Monomial,
     MonomialIdeal,
     default_witnesses,
     facet_ray_bound,
@@ -28,7 +27,7 @@ from dqp.verify import _random_ideal, _random_monomial
 
 def ideal(*exponent_rows):
     width = len(exponent_rows[0])
-    return MonomialIdeal(width, tuple(Monomial(tuple(e)) for e in exponent_rows))
+    return MonomialIdeal(width, tuple(map(tuple, exponent_rows)))
 
 
 def maximal_ideal(p):
@@ -40,16 +39,26 @@ def squares_ideal(p):
 
 
 def test_monomial_validation():
-    with pytest.raises(ValidationError):
-        Monomial(())
-    with pytest.raises(ValidationError):
-        Monomial((1, -1))
-    assert Monomial((1, 2)).total_degree == 3
+    'a monomial is its exponent tuple: the ideal and every route refuse anything else'
+    j = squares_ideal(2)
+    for bad in [(), (1, -1), (True, 1), (1.0, 1), (1, 1, 1), [1, 1], 2]:
+        routes = [
+            lambda: MonomialIdeal(2, (bad,)),
+            lambda: MonomialIdeal(2, ((2, 0), bad)),
+            lambda: j.contains_monomial(bad),
+            lambda: in_integral_closure_newton(j, bad),
+            lambda: in_integral_closure_facets(j, bad),
+            lambda: in_integral_closure_valuative(j, bad, [(1, 1)]),
+        ]
+        for route in routes:
+            with pytest.raises(ValidationError):
+                route()
+    assert MonomialIdeal(2, ((1, 2),)).generators == ((1, 2),)
 
 
 def test_ideal_minimalization():
     i = ideal([1, 0], [2, 0], [0, 2], [1, 1])
-    assert [g.exponents for g in i.generators] == [(1, 0), (0, 2)]
+    assert list(i.generators) == [(1, 0), (0, 2)]
     # duplicates collapse
     j = ideal([1, 1], [1, 1])
     assert len(j.generators) == 1
@@ -60,17 +69,21 @@ def test_ideal_validation():
     with pytest.raises(ValidationError):
         MonomialIdeal(2, ())
     with pytest.raises(ValidationError):
-        MonomialIdeal(2, (Monomial((1, 0, 0)),))
+        MonomialIdeal(2, ((1, 0, 0),))
     with pytest.raises(ValidationError):
-        MonomialIdeal(0, (Monomial((1,)),))
+        MonomialIdeal(0, ((1,),))
+    # a one-shot iterable of generators is read once, not found empty
+    assert MonomialIdeal(2, iter(((2, 0), (0, 2)))) == squares_ideal(2)
+    with pytest.raises(ValidationError):
+        MonomialIdeal(2, iter(()))
 
 
 def test_contains_monomial():
     j = squares_ideal(2)
-    assert j.contains_monomial(Monomial((2, 1)))
-    assert not j.contains_monomial(Monomial((1, 1)))
+    assert j.contains_monomial((2, 1))
+    assert not j.contains_monomial((1, 1))
     with pytest.raises(ValidationError):
-        j.contains_monomial(Monomial((1,)))
+        j.contains_monomial((1,))
 
 
 def test_valuative_rejects_invalid_witnesses():
@@ -78,14 +91,14 @@ def test_valuative_rejects_invalid_witnesses():
     j = squares_ideal(2)
     for bad in [(-1, 2), (0, 0), (True, 1), (1.0, 1), (1, 1, 1), (1,)]:
         # (1, 1) refutes y1 but not y1*y2: a bad witness after it still raises.
-        for m in (Monomial((1, 1)), Monomial((1, 0))):
+        for m in ((1, 1), (1, 0)):
             with pytest.raises(ValidationError):
                 in_integral_closure_valuative(j, m, [(1, 1), bad])
 
 
 def test_power_ideal():
     m2 = power_ideal(maximal_ideal(2), 2)
-    assert [g.exponents for g in m2.generators] == [(2, 0), (1, 1), (0, 2)]
+    assert list(m2.generators) == [(2, 0), (1, 1), (0, 2)]
     m3 = power_ideal(maximal_ideal(3), 2)
     assert len(m3.generators) == 6
     same = power_ideal(squares_ideal(2), 1)
@@ -96,12 +109,12 @@ def test_power_ideal():
 
 def test_newton_membership_basic():
     j = squares_ideal(2)
-    assert in_integral_closure_newton(j, Monomial((1, 1)))
-    assert not in_integral_closure_newton(j, Monomial((1, 0)))
+    assert in_integral_closure_newton(j, (1, 1))
+    assert not in_integral_closure_newton(j, (1, 0))
     k = ideal([3, 0], [0, 3])
-    assert in_integral_closure_newton(k, Monomial((2, 2)))
-    assert not in_integral_closure_newton(k, Monomial((2, 0)))
-    assert not in_integral_closure_newton(k, Monomial((1, 1)))
+    assert in_integral_closure_newton(k, (2, 2))
+    assert not in_integral_closure_newton(k, (2, 0))
+    assert not in_integral_closure_newton(k, (1, 1))
 
 
 def test_newton_membership_generators_and_multiples():
@@ -109,13 +122,13 @@ def test_newton_membership_generators_and_multiples():
         j = squares_ideal(p)
         for g in j.generators:
             assert in_integral_closure_newton(j, g)
-            bumped = Monomial(tuple(e + 1 for e in g.exponents))
+            bumped = tuple(e + 1 for e in g)
             assert in_integral_closure_newton(j, bumped)
 
 
 def test_newton_dimension_mismatch():
     with pytest.raises(ValidationError):
-        in_integral_closure_newton(squares_ideal(2), Monomial((1, 1, 1)))
+        in_integral_closure_newton(squares_ideal(2), (1, 1, 1))
 
 
 def test_facet_normals_of_square_ideal():
@@ -213,7 +226,7 @@ def test_facet_normals_match_the_full_system_oracle():
             gens[0][j] += rng.randint(1, 3)
             gens.append(moved)
         i = ideal(*gens)
-        points = [g.exponents for g in i.generators]
+        points = list(i.generators)
         if any(
             len({tuple(g[c] for c in coords) for g in points}) < len(points)
             for size in range(1, n)
@@ -230,15 +243,17 @@ def test_facet_normals_match_the_full_system_oracle():
 
 def test_facet_route_agrees_on_knowns():
     k = ideal([3, 0], [0, 3])
-    assert in_integral_closure_facets(k, Monomial((2, 2)))
-    assert not in_integral_closure_facets(k, Monomial((1, 1)))
+    assert in_integral_closure_facets(k, (2, 2))
+    assert not in_integral_closure_facets(k, (1, 1))
 
 
 class _Unreadable:
-    'a generator stub: reading its exponents is where building a ray would start'
+    'a generator stub: reading an exponent is where building a ray would start'
 
-    @property
-    def exponents(self):
+    def __getitem__(self, index):
+        raise AssertionError("a generator was read")
+
+    def __iter__(self):
         raise AssertionError("a generator was read")
 
 
@@ -252,9 +267,8 @@ def test_facet_budget():
     degree_nine = [e for e in itertools.product(range(10), repeat=4) if sum(e) == 9]
     largest = ideal(*degree_nine[:195])
     for e in degree_nine[195:]:
-        m = Monomial(e)
-        assert in_integral_closure_facets(largest, m) == in_integral_closure_newton(largest, m)
-    over = MonomialIdeal(4, (Monomial((1, 0, 0, 0)),))
+        assert in_integral_closure_facets(largest, e) == in_integral_closure_newton(largest, e)
+    over = MonomialIdeal(4, ((1, 0, 0, 0),))
     object.__setattr__(over, "generators", (_Unreadable(),) * 196)
     started = time.perf_counter()
     with pytest.raises(BudgetError) as info:
@@ -297,7 +311,7 @@ def test_every_returned_pair_is_a_facet():
         n = 1 + case % 8
         gens = [[rng.randint(0, rng.choice([1, 2, 4])) for _ in range(n)] for _ in range(8)]
         i = ideal(*gens)
-        points = [g.exponents for g in i.generators]
+        points = list(i.generators)
         pairs = newton_facet_normals(i)
         # the facets and the trivial ray (0, -1)
         assert len(pairs) + 1 <= facet_ray_bound(n, len(points))
@@ -314,11 +328,11 @@ def test_every_returned_pair_is_a_facet():
 def test_newton_cell_budget():
     'one generator in n variables is an (n + 1) x (n + 2) tableau'
     assert NEWTON_CELL_LIMIT == 1000
-    largest = MonomialIdeal(30, (Monomial((1,) + (0,) * 29),))
-    assert in_integral_closure_newton(largest, Monomial((1,) + (0,) * 29))
-    wider = MonomialIdeal(31, (Monomial((1,) + (0,) * 30),))
+    largest = MonomialIdeal(30, ((1,) + (0,) * 29,))
+    assert in_integral_closure_newton(largest, (1,) + (0,) * 29)
+    wider = MonomialIdeal(31, ((1,) + (0,) * 30,))
     with pytest.raises(BudgetError) as info:
-        in_integral_closure_newton(wider, Monomial((0,) * 30 + (1,)))
+        in_integral_closure_newton(wider, (0,) * 30 + (1,))
     assert info.value.required == 32 * 33
     with pytest.raises(BudgetError):
         is_reduction(wider, wider)
@@ -348,8 +362,8 @@ def test_newton_diagonal_oracle_beyond_facet_limit():
         i = diagonal_with_redundant(rng, a, rng.randint(0, 6))
         e = tuple(rng.randint(0, d) for d in a)
         expected = in_diagonal_closure(a, e)
-        assert in_integral_closure_newton(i, Monomial(e)) == expected
-        assert in_integral_closure_facets(i, Monomial(e)) == expected
+        assert in_integral_closure_newton(i, e) == expected
+        assert in_integral_closure_facets(i, e) == expected
 
 
 def test_newton_diagonal_oracle_large_exponents():
@@ -371,7 +385,7 @@ def test_newton_diagonal_oracle_large_exponents():
             e = tuple(max(0, x) for x in e)
             expected = in_diagonal_closure(a, e)
             members += expected
-            assert in_integral_closure_newton(i, Monomial(e)) == expected
+            assert in_integral_closure_newton(i, e) == expected
     assert 60 < members < 120
 
 
@@ -387,8 +401,8 @@ def test_newton_same_degree_antichain_boundary():
             on[rng.randrange(n)] += 1
         below = list(on)
         below[next(k for k in range(n) if below[k])] -= 1
-        assert in_integral_closure_newton(i, Monomial(tuple(on)))
-        assert not in_integral_closure_newton(i, Monomial(tuple(below)))
+        assert in_integral_closure_newton(i, tuple(on))
+        assert not in_integral_closure_newton(i, tuple(below))
         assert in_diagonal_closure(a, on) and not in_diagonal_closure(a, below)
 
 
@@ -416,14 +430,14 @@ def test_newton_bland_rule_prevents_cycling():
 
     def decide():
         for gens, m in cases:
-            answers.append(in_integral_closure_newton(ideal(*gens), Monomial(m)))
+            answers.append(in_integral_closure_newton(ideal(*gens), m))
 
     worker = threading.Thread(target=decide, daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive(), "the Newton simplex cycled"
     assert answers == [False, False, False]
-    assert not in_integral_closure_facets(ideal(*cases[2][0]), Monomial(cases[2][1]))
+    assert not in_integral_closure_facets(ideal(*cases[2][0]), cases[2][1])
 
 
 def test_newton_vs_facets_seeded():
@@ -505,8 +519,8 @@ def test_condensed_simplex_matches_the_full_tableau():
 def test_valuative_examples():
     j = squares_ideal(2)
     witnesses = [(1, 0), (0, 1), (1, 1), (2, 1)]
-    assert in_integral_closure_valuative(j, Monomial((1, 1)), witnesses)
-    assert not in_integral_closure_valuative(j, Monomial((1, 0)), [(1, 1)])
+    assert in_integral_closure_valuative(j, (1, 1), witnesses)
+    assert not in_integral_closure_valuative(j, (1, 0), [(1, 1)])
     for g in j.generators:
         assert in_integral_closure_valuative(j, g, default_witnesses(2))
 
@@ -531,11 +545,11 @@ def test_valuative_non_integer_weights_match_fraction_pairing():
         for w in weights:
             scale = lcm(*(Fraction(v).denominator for v in w))
             numerators = tuple(int(Fraction(v) * scale) for v in w)
-            order = min(pair(w, g.exponents) for g in i.generators)
+            order = min(pair(w, g) for g in i.generators)
             for a in itertools.product(range(7), repeat=i.variable_count):
                 on_boundary += pair(w, a) == order
                 assert in_integral_closure_valuative(
-                    i, Monomial(a), [numerators]
+                    i, a, [numerators]
                 ) == (pair(w, a) >= order)
     assert on_boundary > 0
 
@@ -543,7 +557,7 @@ def test_valuative_non_integer_weights_match_fraction_pairing():
 def test_valuative_dimension_mismatch():
     with pytest.raises(ValidationError):
         in_integral_closure_valuative(
-            squares_ideal(2), Monomial((1, 1)), [(1, 1, 1)]
+            squares_ideal(2), (1, 1), [(1, 1, 1)]
         )
 
 
@@ -634,7 +648,7 @@ def test_generators_already_in_sub_never_reach_the_simplex(monkeypatch):
         squares, squared = squares_ideal(p), power_ideal(maximal_ideal(p), 2)
         # multiples of the squares, so in the ideal the squares generate
         picked = [
-            Monomial(tuple(e + 2 * (j == i) for j, e in enumerate(g.exponents)))
+            tuple(e + 2 * (j == i) for j, e in enumerate(g))
             for g in squared.generators
             for i in range(p)
             if rng.random() < 0.5

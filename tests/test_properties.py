@@ -1,4 +1,6 @@
-"""Property tests of the CLI parsers and two algebraic identities (hypothesis)."""
+"""Property tests of the CLI parsers, ideal minimalization and algebraic identities (hypothesis)."""
+
+from operator import add, le
 
 import pytest
 
@@ -15,7 +17,6 @@ from dqp.cli import (  # noqa: E402
 )
 from dqp.integral_closure import (  # noqa: E402
     FACET_RAY_LIMIT,
-    Monomial,
     MonomialIdeal,
     facet_ray_bound,
     in_integral_closure_facets,
@@ -62,9 +63,9 @@ def test_classes_text_round_trip(classes):
 def test_closure_membership_monotone_in_generators(case):
     gens, extra, exponents = case
     n = len(exponents)
-    m = Monomial(tuple(exponents))
-    small = MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens))
-    large = MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens + extra))
+    m = tuple(exponents)
+    small = MonomialIdeal(n, tuple(map(tuple, gens)))
+    large = MonomialIdeal(n, tuple(map(tuple, gens + extra)))
     if in_integral_closure_newton(small, m):
         assert in_integral_closure_newton(large, m)
 
@@ -83,8 +84,8 @@ def test_closure_membership_monotone_in_generators(case):
 def test_closure_valuative_answer_ignores_witness_scaling(case, k):
     'scaling the weights of a curve by k scales every order by k, so no comparison changes'
     gens, exponents, weights = case
-    ideal = MonomialIdeal(len(exponents), tuple(Monomial(tuple(g)) for g in gens))
-    m = Monomial(tuple(exponents))
+    ideal = MonomialIdeal(len(exponents), tuple(map(tuple, gens)))
+    m = tuple(exponents)
     scaled = tuple(k * v for v in weights)
     assert in_integral_closure_valuative(ideal, m, [scaled]) == (
         in_integral_closure_valuative(ideal, m, [tuple(weights)])
@@ -121,9 +122,9 @@ def test_chow_linear_in_first_class(ambient, first, second, rest):
 def test_closure_facet_route_agrees_with_newton(case):
     gens, exponents = case
     n = len(exponents)
-    ideal = MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens))
+    ideal = MonomialIdeal(n, tuple(map(tuple, gens)))
     assert facet_ray_bound(n, len(ideal.generators)) <= FACET_RAY_LIMIT
-    m = Monomial(tuple(exponents))
+    m = tuple(exponents)
     assert in_integral_closure_facets(ideal, m) == in_integral_closure_newton(ideal, m)
 
 
@@ -157,7 +158,7 @@ def _closure(ideal, monomial=None, full=None, index=lambda i: i):
 
 
 def _dense(monomials, n):
-    return tuple(Monomial(tuple(m.get(i, 0) for i in range(n))) for m in monomials)
+    return tuple(tuple(m.get(i, 0) for i in range(n)) for m in monomials)
 
 
 @SMALL
@@ -191,3 +192,34 @@ def test_closure_cli_answers_equal_dense_library_calls(request_):
     assert _closure(ideal, monomial) == in_integral_closure_newton(dense, m)
     reduction = is_reduction(dense, MonomialIdeal(n, _dense(full, n)))
     assert _closure(ideal, full=full) == reduction
+
+
+def _divides(g, m):
+    return all(map(le, g, m))
+
+
+@SMALL
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=6),
+            st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=4),
+            st.tuples(*[st.integers(0, 5)] * n),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_ideal_minimalization_is_a_canonical_antichain(case, rng):
+    'duplicates, multiples and order of the generators never change the ideal'
+    gens, shifts, candidate = case
+    n = len(candidate)
+    ideal = MonomialIdeal(n, tuple(gens))
+    multiples = [tuple(map(add, rng.choice(gens), s)) for s in shifts]
+    noisy = gens + rng.choices(gens, k=rng.randint(0, 3)) + multiples
+    rng.shuffle(noisy)
+    assert MonomialIdeal(n, tuple(noisy)) == ideal
+    kept = ideal.generators
+    assert set(kept) <= set(gens)
+    assert not any(a != b and _divides(a, b) for a in kept for b in kept)
+    assert all(ideal.contains_monomial(g) for g in noisy)
+    assert ideal.contains_monomial(candidate) == any(_divides(g, candidate) for g in gens)
