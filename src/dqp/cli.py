@@ -43,8 +43,6 @@ def _budget_from_env(default: int) -> int:
 def cmd_invariants(args: argparse.Namespace) -> Report:
     started = time.perf_counter()
     params = core.validate_params(args.n, args.q, args.p)
-    le = core.le_numbers(params)
-    polar = core.polar_multiplicities_sigma1(params.p)
     results = {
         "params": {
             "n": params.n,
@@ -55,16 +53,14 @@ def cmd_invariants(args: argparse.Namespace) -> Report:
         },
         "sphere_dimension": core.milnor_sphere_dimension(params),
         "reduced_euler_characteristic": core.reduced_euler_characteristic(params),
-        "le_numbers": dimension_table(le.entries),
+        "le_numbers": dimension_table(core.le_numbers(params)),
         "fixed_cycles": [
-            {
-                "name": cycle.name,
-                "dimension": cycle.dimension,
-                "multiplicity": cycle.cycle_multiplicity,
-            }
-            for cycle in le.fixed_cycles
+            {"name": name, "dimension": params.q - codim, "multiplicity": multiplicity}
+            for name, codim, multiplicity in core.FIXED_LE_CYCLES
         ],
-        "polar_multiplicities_sigma1": dimension_table(polar.entries),
+        "polar_multiplicities_sigma1": dimension_table(
+            core.polar_multiplicities_sigma1(params.p)
+        ),
         "euler_obstruction_sigma1": core.euler_obstruction_sigma1(params.p),
     }
     if params.p == 1:
@@ -113,8 +109,8 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
                 required=cells,
             )
     params = core.minimal_params(p)
-    closed = core.le_numbers(params).entries
-    polar = core.polar_multiplicities_sigma1(p).entries
+    closed = core.le_numbers(params)
+    polar = core.polar_multiplicities_sigma1(p)
     rows = []
     engine_bad: list[int] = []
     fulton_bad: list[int] = []
@@ -313,10 +309,14 @@ def cmd_closure(args: argparse.Namespace) -> Report:
     if args.mode == "membership":
         if args.monomial is None:
             raise ValidationError("membership mode needs --monomial")
+        if args.full is not None:
+            raise ValidationError("membership mode does not take --full")
         monomial_exponents = _parse_monomial_text(args.monomial, prefixes)
     else:
         if args.full is None:
             raise ValidationError("reduction mode needs --full")
+        if args.monomial is not None:
+            raise ValidationError("reduction mode does not take --monomial")
         full_exponents = _parse_ideal_text(args.full, prefixes)
     if len(prefixes) > 1:
         raise ValidationError(

@@ -15,8 +15,8 @@ a closed form in (n, q, p):
 
 * the dimension of the sphere the Milnor fiber is homotopy equivalent to,
   and its reduced Euler characteristic;
-* the table of Lê numbers lambda^d, with the two fixed Lê cycles as
-  metadata;
+* the table of Lê numbers lambda^d, and the two fixed Lê cycles as the
+  constant FIXED_LE_CYCLES;
 * the polar multiplicities at the origin of the hypersurface of
   degenerate symmetric p x p matrices (kernel rank >= 1);
 * the Euler obstructions of that determinantal hypersurface and of the
@@ -25,10 +25,9 @@ a closed form in (n, q, p):
   characteristic of the Milnor fiber.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.  Tables
-are dicts indexed by dimension, zero-filled over their whole range, so
-consumers never do index arithmetic.  Every value is immutable after
-construction and every function is pure, so concurrent use needs no
-locking.
+are plain dicts keyed by dimension, zero-filled over their whole range,
+so consumers never do index arithmetic.  Each call builds a fresh table
+and every function is pure, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
     "DqpParams",
-    "FixedCycle",
-    "LeNumberTable",
-    "PolarMultiplicityTable",
     "validate_params",
     "minimal_params",
     "milnor_sphere_dimension",
@@ -53,6 +49,7 @@ __all__ = [
     "euler_obstruction_hypersurface",
     "verify_massey_identity",
     "LE_TABLE_LIMIT",
+    "FIXED_LE_CYCLES",
 ]
 
 
@@ -60,6 +57,14 @@ __all__ = [
 # At this limit the table builds in ~0.02 s and `dqp invariants` renders
 # it as JSON in ~0.7 s (2-core VM).
 LE_TABLE_LIMIT = 10**5
+
+# The exactly two fixed Lê cycles, as (name, codimension in the singular
+# locus, cycle multiplicity): the singular locus itself, a smooth q-plane,
+# and its slice by the vanishing of the symmetric determinant.  The
+# multiplicities come from the transversal singularity type at a generic
+# point of each cycle (a Morse point, respectively a Whitney umbrella) and
+# are fixed data, not computed.
+FIXED_LE_CYCLES = (("singular locus", 0, 1), ("determinantal locus", 1, 2))
 
 
 @dataclass(frozen=True)
@@ -108,48 +113,6 @@ class DqpParams:
         return self.q - self.p * (self.p + 1) // 2
 
 
-@dataclass(frozen=True)
-class FixedCycle:
-    """One fixed Lê cycle: a named cycle with a dimension and a multiplicity."""
-
-    name: str
-    dimension: int
-    cycle_multiplicity: int
-
-
-@dataclass(frozen=True)
-class LeNumberTable:
-    """Lê numbers of a D(q,p) germ, indexed by dimension d over 0..q.
-
-    ``entries[d]`` is lambda^d; dimensions carrying no Lê cycle hold 0.
-    ``fixed_cycles`` lists the exactly two fixed Lê cycles: the singular
-    locus itself (a smooth q-plane, cycle multiplicity 1) and its slice
-    by the vanishing of the symmetric determinant (dimension q - 1,
-    cycle multiplicity 2).  The multiplicities come from the transversal
-    singularity type at a generic point of each cycle (a Morse point,
-    respectively a Whitney umbrella) and are fixed data, not computed.
-    """
-
-    params: DqpParams
-    entries: dict[int, int]
-    fixed_cycles: tuple[FixedCycle, FixedCycle]
-
-
-@dataclass(frozen=True)
-class PolarMultiplicityTable:
-    """Polar multiplicities m^d at the zero matrix of the degenerate locus.
-
-    The ambient space is the space C^{p(p+1)/2} of symmetric p x p
-    matrices; the locus is the determinant hypersurface (kernel rank
-    >= 1), of dimension p(p+1)/2 - 1.  ``entries[d]`` is the polar
-    multiplicity of the d-dimensional polar variety, zero-filled over
-    0..p(p+1)/2 - 1.
-    """
-
-    p: int
-    entries: dict[int, int]
-
-
 def validate_params(n: int, q: int, p: int) -> DqpParams:
     """Validate raw integers (n, q, p) and return the parameter triple.
 
@@ -180,8 +143,8 @@ def reduced_euler_characteristic(params: DqpParams) -> int:
     return (-1) ** milnor_sphere_dimension(params)
 
 
-def le_numbers(params: DqpParams) -> LeNumberTable:
-    """The full Lê number table of a D(q,p) germ.
+def le_numbers(params: DqpParams) -> dict[int, int]:
+    """The full Lê number table of a D(q,p) germ: lambda^d keyed by d in 0..q.
 
     lambda^{q-i} = 2^i * C(p, p-i) for 0 <= i <= p and lambda^d = 0 for
     every other dimension d in 0..q.  The inert coordinates only shift
@@ -199,15 +162,15 @@ def le_numbers(params: DqpParams) -> LeNumberTable:
     entries = {d: 0 for d in range(q + 1)}
     for i in range(p + 1):
         entries[q - i] = 2**i * comb(p, p - i)
-    cycles = (
-        FixedCycle(name="singular locus", dimension=q, cycle_multiplicity=1),
-        FixedCycle(name="determinantal locus", dimension=q - 1, cycle_multiplicity=2),
-    )
-    return LeNumberTable(params=params, entries=entries, fixed_cycles=cycles)
+    return entries
 
 
-def polar_multiplicities_sigma1(p: int) -> PolarMultiplicityTable:
+def polar_multiplicities_sigma1(p: int) -> dict[int, int]:
     """Polar multiplicities at 0 of the degenerate symmetric matrices.
+
+    m^d, keyed by d in 0..p(p+1)/2 - 1, is the multiplicity of the
+    d-dimensional polar variety of the determinant hypersurface (kernel
+    rank >= 1) in the space C^{p(p+1)/2} of symmetric p x p matrices.
 
     m^{p(p+1)/2 - i - 1} = 2^i * C(p, p-i-1) for 0 <= i < p, zero at
     every other dimension.  Each entry is exactly half the Lê number of
@@ -220,7 +183,7 @@ def polar_multiplicities_sigma1(p: int) -> PolarMultiplicityTable:
     entries = {d: 0 for d in range(top + 1)}
     for i in range(p):
         entries[top - i] = 2**i * comb(p, p - i - 1)
-    return PolarMultiplicityTable(p=p, entries=entries)
+    return entries
 
 
 def euler_obstruction_sigma1(p: int) -> int:
@@ -263,7 +226,6 @@ def verify_massey_identity(params: DqpParams) -> bool:
     expansion of (2-1)^p.  True for every valid parameter triple; a
     False return signals an internal bug, not bad input.
     """
-    table = le_numbers(params)
     n = params.n
-    total = sum((-1) ** ((n - 1) - d) * value for d, value in table.entries.items())
+    total = sum((-1) ** ((n - 1) - d) * value for d, value in le_numbers(params).items())
     return total == reduced_euler_characteristic(params)

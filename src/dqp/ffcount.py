@@ -97,7 +97,6 @@ class NormalFormSpec:
 class PointCountReport:
     """One exhaustive count against its prediction."""
 
-    spec: NormalFormSpec
     prime: int
     target: int
     observed_count: int
@@ -378,7 +377,6 @@ def count_points(
     observed = base * prime**spec.q1
     elapsed = time.perf_counter() - started
     return PointCountReport(
-        spec=spec,
         prime=prime,
         target=target % prime,
         observed_count=observed,

@@ -217,9 +217,9 @@ def in_integral_closure_valuative(
     ideal._check_dimension(m)
     n, gens = ideal.variable_count, ideal.generators
     for w in witnesses:
-        if len(w) != n or not _naturals(w) or not any(w):
+        if not isinstance(w, tuple) or len(w) != n or not _naturals(w) or not any(w):
             raise ValidationError(
-                f"a witness is {n} nonnegative ints, not all zero (got {w})"
+                f"a witness is a tuple of {n} nonnegative ints, not all zero (got {w})"
             )
     return all(
         sum(map(mul, w, m)) >= min(sum(map(mul, w, g)) for g in gens)

@@ -83,7 +83,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
     cases = 0
     for p in range(2, pmax + 1):
         params = core.minimal_params(p)
-        table = core.le_numbers(params).entries
+        table = core.le_numbers(params)
         for i in range(1, p + 1):
             cases += 1
             # The Lê cycle carries multiplicity 2 (le_engine.le_number_via_chow).
@@ -102,7 +102,7 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
 
     halving_bad: list[tuple[int, int]] = []
     for p in range(2, pmax + 1):
-        closed = core.polar_multiplicities_sigma1(p).entries
+        closed = core.polar_multiplicities_sigma1(p)
         for d in range(p * (p + 1) // 2):
             if closed.get(d) != polar_chow[p].get(d, 0):
                 halving_bad.append((p, d))

@@ -43,6 +43,17 @@ def test_invariants_p1_omits_hypersurface_obstruction(capsys):
     assert "needs p > 1" in doc["results"]["euler_obstruction_note"]
 
 
+def test_invariants_fixed_cycles_sit_at_q_and_q_minus_1(capsys):
+    'q = 5 differs from p(p+1)/2 = 3 (q1 = 2, k = 2): the cycles sit at q and q - 1'
+    code, doc, _, _ = run_json(capsys, "invariants", "--n", "9", "--q", "5", "--p", "2")
+    assert code == 0
+    assert (doc["results"]["params"]["q1"], doc["results"]["params"]["k"]) == (2, 2)
+    assert doc["results"]["fixed_cycles"] == [
+        {"name": "singular locus", "dimension": 5, "multiplicity": 1},
+        {"name": "determinantal locus", "dimension": 4, "multiplicity": 2},
+    ]
+
+
 def test_invariants_validation_exit(capsys):
     code, out, err = run(capsys, "invariants", "--n", "4", "--q", "3", "--p", "2")
     assert code == 2
@@ -494,6 +505,21 @@ def test_closure_grammar_errors(capsys):
     code, _, err = run(capsys, "closure", "--ideal", "y1^2")
     assert code == 2
     assert "monomial" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--mode", "reduction", "--full", "y1", "--monomial", "y2"), "--monomial"),
+        (("--monomial", "y2", "--full", "y1"), "--full"),
+    ],
+    ids=["reduction-with-monomial", "membership-with-full"],
+)
+def test_closure_refuses_the_other_modes_flag(capsys, argv, flag):
+    code, out, err = run(capsys, "closure", "--ideal", "y1", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not take {flag}" in err
 
 
 def test_count_command(capsys):

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from dqp.core import (
+    FIXED_LE_CYCLES,
     LE_TABLE_LIMIT,
     DqpParams,
     euler_obstruction_hypersurface,
@@ -62,17 +63,17 @@ def test_sphere_dimension_and_reduced_euler():
 
 def test_le_table_5_3_2():
     table = le_numbers(DqpParams(5, 3, 2))
-    assert table.entries == {3: 1, 2: 4, 1: 4, 0: 0}
+    assert table == {3: 1, 2: 4, 1: 4, 0: 0}
 
 
 def test_le_table_9_6_3():
     table = le_numbers(DqpParams(9, 6, 3))
-    assert table.entries == {6: 1, 5: 6, 4: 12, 3: 8, 2: 0, 1: 0, 0: 0}
+    assert table == {6: 1, 5: 6, 4: 12, 3: 8, 2: 0, 1: 0, 0: 0}
 
 
 def test_le_table_whitney_umbrella():
     table = le_numbers(DqpParams(2, 1, 1))
-    assert table.entries == {1: 1, 0: 2}
+    assert table == {1: 1, 0: 2}
 
 
 def test_le_closed_form_sweep():
@@ -81,36 +82,31 @@ def test_le_closed_form_sweep():
             q = p * (p + 1) // 2 + q1
             table = le_numbers(DqpParams(q + p, q, p))
             for i in range(p + 1):
-                assert table.entries[q - i] == 2**i * comb(p, p - i)
+                assert table[q - i] == 2**i * comb(p, p - i)
             for d in range(q - p):
-                assert table.entries[d] == 0
+                assert table[d] == 0
 
 
 def test_le_table_budget():
     q = LE_TABLE_LIMIT - 1
-    assert len(le_numbers(DqpParams(q + 2, q, 2)).entries) == LE_TABLE_LIMIT
+    assert len(le_numbers(DqpParams(q + 2, q, 2))) == LE_TABLE_LIMIT
     with pytest.raises(BudgetError) as info:
         le_numbers(DqpParams(q + 3, q + 1, 2))
     assert info.value.required == LE_TABLE_LIMIT + 1
 
 
 def test_fixed_cycles():
-    table = le_numbers(DqpParams(5, 3, 2))
-    singular, determinantal = table.fixed_cycles
-    assert singular.name == "singular locus"
-    assert singular.dimension == 3
-    assert singular.cycle_multiplicity == 1
-    assert determinantal.name == "determinantal locus"
-    assert determinantal.dimension == 2
-    assert determinantal.cycle_multiplicity == 2
+    q = DqpParams(5, 3, 2).q
+    cycles = [(name, q - codim, mult) for name, codim, mult in FIXED_LE_CYCLES]
+    assert cycles == [("singular locus", 3, 1), ("determinantal locus", 2, 2)]
 
 
 def test_polar_table_p2():
-    assert polar_multiplicities_sigma1(2).entries == {2: 2, 1: 2, 0: 0}
+    assert polar_multiplicities_sigma1(2) == {2: 2, 1: 2, 0: 0}
 
 
 def test_polar_table_p3():
-    assert polar_multiplicities_sigma1(3).entries == {
+    assert polar_multiplicities_sigma1(3) == {
         5: 3,
         4: 6,
         3: 4,
@@ -122,7 +118,7 @@ def test_polar_table_p3():
 
 def test_polar_closed_form_sweep():
     for p in range(1, 8):
-        entries = polar_multiplicities_sigma1(p).entries
+        entries = polar_multiplicities_sigma1(p)
         top = p * (p + 1) // 2 - 1
         for i in range(p):
             assert entries[top - i] == 2**i * comb(p, p - i - 1)
@@ -131,8 +127,8 @@ def test_polar_closed_form_sweep():
 
 def test_polar_is_half_le_for_minimal_germ():
     for p in range(2, 7):
-        le = le_numbers(minimal_params(p)).entries
-        polar = polar_multiplicities_sigma1(p).entries
+        le = le_numbers(minimal_params(p))
+        polar = polar_multiplicities_sigma1(p)
         for d, value in polar.items():
             assert 2 * value == le[d]
 
@@ -149,7 +145,7 @@ def test_euler_obstruction_sigma1_parity():
 
 def test_euler_obstruction_sigma1_p5_sum():
     'p=5 alternating sum: 5 - 20 + 40 - 40 + 16 = 1'
-    entries = polar_multiplicities_sigma1(5).entries
+    entries = polar_multiplicities_sigma1(5)
     top = 14
     values = [entries[top - i] for i in range(5)]
     assert values == [5, 20, 40, 40, 16]

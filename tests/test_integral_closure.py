@@ -87,9 +87,10 @@ def test_contains_monomial():
 
 
 def test_valuative_rejects_invalid_witnesses():
-    'a witness is nonnegative ints, not all zero, one per variable, wherever it is listed'
+    'a witness is a tuple of nonnegative ints, not all zero, one per variable, wherever it is listed'
     j = squares_ideal(2)
-    for bad in [(-1, 2), (0, 0), (True, 1), (1.0, 1), (1, 1, 1), (1,)]:
+    bads = [(-1, 2), (0, 0), (True, 1), (1.0, 1), (1, 1, 1), (1,), 5, None, [1, 1]]
+    for bad in bads:
         # (1, 1) refutes y1 but not y1*y2: a bad witness after it still raises.
         for m in ((1, 1), (1, 0)):
             with pytest.raises(ValidationError):

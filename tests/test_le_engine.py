@@ -40,7 +40,7 @@ def test_build_le_system_rejects_bad_inputs():
 def test_le_number_via_chow_matches_closed_form():
     for p in range(2, 6):
         q = p * (p + 1) // 2
-        table = le_numbers(minimal_params(p)).entries
+        table = le_numbers(minimal_params(p))
         for i in range(1, p + 1):
             assert le_number_via_chow(p, i) == 2**i * comb(p, p - i)
             assert le_number_via_chow(p, i) == table[q - i]
@@ -49,7 +49,7 @@ def test_le_number_via_chow_matches_closed_form():
 def test_underlying_multiplicity_is_half_le_and_polar_entry():
     for p in range(2, 21):
         q = p * (p + 1) // 2
-        polar = polar_multiplicities_sigma1(p).entries
+        polar = polar_multiplicities_sigma1(p)
         for i in range(1, p + 1):
             mult = underlying_multiplicity_via_chow(p, i)
             assert 2 * mult == le_number_via_chow(p, i)

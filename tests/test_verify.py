@@ -88,8 +88,8 @@ def test_a_failing_whole_chain_fails_every_transitivity_case(monkeypatch):
 def _bump_top_polar_entry(original):
     def bumped(p):
         table = original(p)
-        top = max(table.entries)
-        return replace(table, entries={**table.entries, top: table.entries[top] + 1})
+        top = max(table)
+        return {**table, top: table[top] + 1}
 
     return bumped
 
