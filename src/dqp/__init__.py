@@ -42,7 +42,6 @@ verify = _lazy("verify")
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {
-    "Bidegree": "chow",
     "BidegreeSystem": "chow",
     "intersection_number_fulton": "chow",
     "intersection_number_ring": "chow",
@@ -87,7 +86,6 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bidegree",
     "BidegreeSystem",
     "BudgetError",
     "CheckError",

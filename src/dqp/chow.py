@@ -21,7 +21,10 @@ so it refuses systems with more than FULTON_SUBSET_LIMIT classes; larger
 systems use the ring route only.  The ring route in turn refuses a
 system whose (n + 1) * (n + m) cell updates exceed RING_CELL_LIMIT.
 
-Coefficients are arbitrary-precision integers throughout.
+A class is its bidegree, the plain pair (a, b), as in
+``BidegreeSystem(1, 1, ((1, 1), (1, 1)))``; ``BidegreeSystem`` validates
+every class once, on construction.  Coefficients are arbitrary-precision
+integers throughout.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from math import comb
 from .errors import BudgetError, ValidationError, is_int
 
 __all__ = [
-    "Bidegree",
     "BidegreeSystem",
     "intersection_number_ring",
     "intersection_number_fulton",
@@ -52,42 +54,46 @@ RING_CELL_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
-class Bidegree:
-    """The class a*h + b*k of a hypersurface in P^n x P^m."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not is_int(self.a) or not is_int(self.b):
-            raise ValidationError(f"bidegree entries must be integers (got {self!r})")
-        if self.a < 0 or self.b < 0:
-            raise ValidationError(
-                f"bidegree entries must be nonnegative (got ({self.a},{self.b}))"
-            )
-        if self.a == 0 and self.b == 0:
-            raise ValidationError("bidegree (0,0) does not define a hypersurface")
-
-
-@dataclass(frozen=True)
 class BidegreeSystem:
-    """n + m hypersurface classes on P^n x P^m, for a zero-dimensional count."""
+    """n + m hypersurface classes on P^n x P^m, for a zero-dimensional count.
+
+    Each class is its bidegree (a, b), the class a*h + b*k: a pair of
+    nonnegative ints, not both 0.  ``classes`` is stored as a tuple.
+    """
 
     ambient_n: int
     ambient_m: int
-    classes: tuple[Bidegree, ...]
+    classes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not is_int(self.ambient_n) or not is_int(self.ambient_m):
             raise ValidationError(f"ambient dimensions must be integers (got {self!r})")
         if self.ambient_n < 0 or self.ambient_m < 0:
             raise ValidationError("ambient dimensions must be nonnegative")
+        classes = tuple(self.classes)  # a one-shot iterable is read once
         expected = self.ambient_n + self.ambient_m
-        if len(self.classes) != expected:
+        if len(classes) != expected:
             raise ValidationError(
                 f"class count must equal ambient_n + ambient_m "
-                f"(got {len(self.classes)} classes for n+m={expected})"
+                f"(got {len(classes)} classes for n+m={expected})"
             )
+        for cls in classes:
+            if not isinstance(cls, tuple) or len(cls) != 2:
+                raise ValidationError(
+                    f"a bidegree class must be an (a, b) pair (got {cls!r})"
+                )
+            a, b = cls
+            if not (type(a) is int or is_int(a)) or not (type(b) is int or is_int(b)):
+                raise ValidationError(
+                    f"bidegree entries must be integers (got {cls!r})"
+                )
+            if a < 0 or b < 0:
+                raise ValidationError(
+                    f"bidegree entries must be nonnegative (got ({a},{b}))"
+                )
+            if not (a or b):
+                raise ValidationError("bidegree (0,0) does not define a hypersurface")
+        object.__setattr__(self, "classes", classes)
 
 
 def intersection_number_ring(system: BidegreeSystem) -> int:
@@ -107,12 +113,12 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
             required=cells,
         )
     coeffs = [1] + [0] * n
-    for j, cls in enumerate(system.classes, 1):
+    for j, (a, b) in enumerate(system.classes, 1):
         for u in range(min(j, n), -1, -1):
             if j - u > m:
                 coeffs[u] = 0
             else:
-                coeffs[u] = cls.b * coeffs[u] + (cls.a * coeffs[u - 1] if u else 0)
+                coeffs[u] = b * coeffs[u] + (a * coeffs[u - 1] if u else 0)
     return coeffs[n]
 
 
@@ -135,8 +141,8 @@ def intersection_number_fulton(system: BidegreeSystem) -> int:
             "use the ring algorithm",
             required=comb(total, n),
         )
-    a = [cls.a for cls in system.classes]
-    b = [cls.b for cls in system.classes]
+    a = [cls[0] for cls in system.classes]
+    b = [cls[1] for cls in system.classes]
     # rest_a[i] and rest_b[i]: the products of a[i:] and of b[i:].
     rest_a = [1] * (total + 1)
     rest_b = [1] * (total + 1)

@@ -7,10 +7,11 @@ number), `chow` (raw bidegree intersection numbers), `closure`
 (finite-field point counts), `verify` (the cross-route suites).
 
 Exit codes: 0 when the command and every attached check passed, 1 when
-an internal cross-check failed, 2 for invalid input, 3 when a
-computation refuses its size budget.  Reports go to stdout (or --out),
-diagnostics to stderr.  DQP_BUDGET, a positive integer, overrides the
-default point-count budget and the verify sweep limit.
+an internal cross-check failed, 2 for invalid input or an --out that
+cannot be written, 3 when a computation refuses its size budget.
+Reports go to stdout (or --out), diagnostics to stderr.  DQP_BUDGET, a
+positive integer, overrides the default point-count budget and the
+verify sweep limit.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
         dimension = params.q - i
         if le_chow != closed[dimension] or mult_chow != polar[dimension]:
             engine_bad.append(i)
-        class_counts = Counter((cls.a, cls.b) for cls in system.classes)
+        class_counts = Counter(system.classes)
         try:  # the subset sum refuses before walking a subset: then skip it
             if chow.intersection_number_fulton(system) != mult_chow:
                 fulton_bad.append(i)
@@ -176,7 +177,7 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
     )
 
 
-def _parse_classes(text: str) -> tuple[chow.Bidegree, ...]:
+def _parse_classes(text: str) -> tuple[tuple[int, int], ...]:
     classes = []
     for piece in text.replace(" ", "").split(";"):
         if not piece:
@@ -188,10 +189,13 @@ def _parse_classes(text: str) -> tuple[chow.Bidegree, ...]:
                 f"(got {piece!r})"
             )
         try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError(f"bidegree entries must be integers (got {piece!r})") from None
-        classes.append(chow.Bidegree(a, b))
+            classes.append((int(parts[0]), int(parts[1])))
+        except ValueError:  # not an integer, or past the int string-conversion limit
+            if max(map(len, parts)) > sys.get_int_max_str_digits() > 0:
+                message = f"{piece[:40]!r}... has too many digits"
+            else:
+                message = f"bidegree entries must be integers (got {piece!r})"
+            raise ValidationError(message) from None
     if not classes:
         raise ValidationError("at least one bidegree class is required")
     return tuple(classes)
@@ -204,14 +208,14 @@ def cmd_chow(args: argparse.Namespace) -> Report:
     )
     # Every coefficient is at most prod(a + b) < 2^bits: refuse, before any
     # route, what could pass the int-to-string digit limit (0: none).
-    bits = sum((c.a + c.b).bit_length() for c in system.classes)
+    bits = sum((a + b).bit_length() for a, b in system.classes)
     digits, limit = math.ceil(bits * math.log10(2)), sys.get_int_max_str_digits()
     if limit and digits > limit:
         message = f"the intersection number may have {digits} digits (limit {limit})"
         raise BudgetError(message, required=digits)
     results: dict = {
         "ambient": [args.n, args.m],
-        "classes": [[c.a, c.b] for c in system.classes],
+        "classes": [[a, b] for a, b in system.classes],
     }
     checks: list[Check] = []
     if args.algorithm in ("ring", "both"):
@@ -569,8 +573,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     text = getattr(report, f"render_{args.format}")()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if not report.passed:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 
-from .chow import Bidegree, BidegreeSystem, intersection_number_ring
+from .chow import BidegreeSystem, intersection_number_ring
 from .errors import ValidationError, is_int
 
 __all__ = [
@@ -62,11 +62,7 @@ def build_le_system(p: int, i: int) -> BidegreeSystem:
     ambient_n = p * (p + 1) // 2 - 1
     ambient_m = p - 1
     hyperplanes = p * (p + 1) // 2 - i - 1
-    classes = (
-        (Bidegree(1, 1),) * p
-        + (Bidegree(0, 2),) * (i - 1)
-        + (Bidegree(1, 0),) * hyperplanes
-    )
+    classes = ((1, 1),) * p + ((0, 2),) * (i - 1) + ((1, 0),) * hyperplanes
     return BidegreeSystem(ambient_n=ambient_n, ambient_m=ambient_m, classes=classes)
 
 

@@ -10,7 +10,9 @@ must not change between identical runs.
 
 Dimension-indexed tables travel as lists of [dimension, value] pairs in
 descending dimension order; JSON objects would order keys as strings
-and read back "10" before "2".
+and read back "10" before "2".  They are built as ``DimensionTable``,
+a list that JSON renders like any other, so the table and CSV renderings
+tell them from other lists of int pairs, such as chow's classes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ SCHEMA = "dqp-invariants/1"
 SCOPES = ("all", "core", "chow", "closure", "ffcount")
 DEFAULT_PMAX = 4
 
-__all__ = ["Check", "Report", "SCHEMA", "SCOPES", "DEFAULT_PMAX", "dimension_table"]
+__all__ = [
+    "Check", "Report", "SCHEMA", "SCOPES", "DEFAULT_PMAX", "DimensionTable", "dimension_table"
+]
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,13 @@ class Check:
         return self.status == "pass"
 
 
-def dimension_table(entries: dict[int, int]) -> list[list[int]]:
+class DimensionTable(list):
+    """[dimension, value] pairs, highest dimension first."""
+
+
+def dimension_table(entries: dict[int, int]) -> DimensionTable:
     """Dict keyed by dimension -> [dimension, value] pairs, highest first."""
-    return [[d, entries[d]] for d in sorted(entries, reverse=True)]
+    return DimensionTable([d, entries[d]] for d in sorted(entries, reverse=True))
 
 
 @dataclass
@@ -120,17 +128,6 @@ class Report:
         return buffer.getvalue()
 
 
-def _is_dimension_table(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
-            for e in value
-        )
-    )
-
-
 def _render_value(value, indent: int) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -141,7 +138,7 @@ def _render_value(value, indent: int) -> list[str]:
                 lines.extend(_render_value(sub, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(sub)}")
-    elif _is_dimension_table(value):
+    elif isinstance(value, DimensionTable):
         for d, v in value:
             lines.append(f"{pad}dim {d}: {v}")
     elif isinstance(value, list):
@@ -176,7 +173,7 @@ def _flatten(prefix: str, value):
     """Yield (section, key, value) rows for the CSV rendering."""
     if isinstance(value, dict):
         for key, sub in value.items():
-            if _is_dimension_table(sub):
+            if isinstance(sub, DimensionTable):
                 for d, v in sub:
                     yield f"{prefix}.{key}", str(d), v
             elif isinstance(sub, dict):

@@ -195,23 +195,8 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def _bidegree_table() -> list[list[chow.Bidegree | None]]:
-    """table[a][b] is Bidegree(a, b) for the entries 0..3 the chow suite draws.
-
-    Entry (0, 0), which defines no hypersurface, is None.
-    """
-    return [
-        [chow.Bidegree(a, b) if a or b else None for b in range(4)] for a in range(4)
-    ]
-
-
-def _random_system(
-    rng: random.Random,
-    max_total: int = 10,
-    bidegrees: list[list[chow.Bidegree | None]] | None = None,
-) -> chow.BidegreeSystem:
-    """Seeded classes with entries 0..3, taken from `bidegrees` when given."""
-    table = bidegrees or _bidegree_table()
+def _random_system(rng: random.Random, max_total: int = 10) -> chow.BidegreeSystem:
+    """Seeded classes with entries 0..3."""
     total = _randint(rng, 2, max_total)
     ambient_n = _randint(rng, 0, total)
     classes = []
@@ -220,7 +205,7 @@ def _random_system(
         b = _randint(rng, 0, 3)
         if a == 0 and b == 0:
             a = _randint(rng, 1, 3)
-        classes.append(table[a][b])
+        classes.append((a, b))
     return chow.BidegreeSystem(
         ambient_n=ambient_n, ambient_m=total - ambient_n, classes=tuple(classes)
     )
@@ -228,13 +213,11 @@ def _random_system(
 
 def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     checks: list[Check] = []
-    # Every class drawn below has entries 0..3: build each of the 15 once.
-    bidegrees = _bidegree_table()
 
     dual_bad: list[int] = []
     for c in range(cases):
         rng = random.Random(f"{seed}:chow-dual:{c}")
-        system = _random_system(rng, bidegrees=bidegrees)
+        system = _random_system(rng)
         if chow.intersection_number_ring(system) != chow.intersection_number_fulton(
             system
         ):
@@ -251,7 +234,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     perm_bad: list[int] = []
     for c in range(cases // 4):
         rng = random.Random(f"{seed}:chow-perm:{c}")
-        system = _random_system(rng, bidegrees=bidegrees)
+        system = _random_system(rng)
         shuffled = list(system.classes)
         rng.shuffle(shuffled)
         reordered = chow.BidegreeSystem(
@@ -275,19 +258,13 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
     linear_bad: list[int] = []
     for c in range(cases // 4):
         rng = random.Random(f"{seed}:chow-linear:{c}")
-        system = _random_system(rng, bidegrees=bidegrees)
+        system = _random_system(rng)
         a = _randint(rng, 1, 3)
         b = _randint(rng, 1, 3)
-        rest = system.classes[1:]
-        whole = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (bidegrees[a][b],) + rest
-        )
-        h_part = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (bidegrees[a][0],) + rest
-        )
-        k_part = chow.BidegreeSystem(
-            system.ambient_n, system.ambient_m, (bidegrees[0][b],) + rest
-        )
+        n, m, rest = system.ambient_n, system.ambient_m, system.classes[1:]
+        whole = chow.BidegreeSystem(n, m, ((a, b),) + rest)
+        h_part = chow.BidegreeSystem(n, m, ((a, 0),) + rest)
+        k_part = chow.BidegreeSystem(n, m, ((0, b),) + rest)
         total = chow.intersection_number_ring(h_part) + chow.intersection_number_ring(
             k_part
         )
@@ -308,13 +285,13 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         total = _randint(rng, 3, 10)
         ambient_n = _randint(rng, 1, total - 1)
         ambient_m = total - ambient_n
-        classes = [bidegrees[0][_randint(rng, 1, 3)] for _ in range(ambient_m + 1)]
+        classes = [(0, _randint(rng, 1, 3)) for _ in range(ambient_m + 1)]
         for _ in range(total - ambient_m - 1):
             a = _randint(rng, 0, 3)
             b = _randint(rng, 0, 3)
             if a == 0 and b == 0:
                 a = 1
-            classes.append(bidegrees[a][b])
+            classes.append((a, b))
         system = chow.BidegreeSystem(
             ambient_n=ambient_n, ambient_m=ambient_m, classes=tuple(classes)
         )

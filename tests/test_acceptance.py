@@ -21,7 +21,6 @@ from dqp.core import (
     verify_massey_identity,
 )
 from dqp.chow import (
-    Bidegree,
     BidegreeSystem,
     intersection_number_fulton,
     intersection_number_ring,
@@ -93,7 +92,7 @@ def test_criterion_4_chow_oracle_equivalence():
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             if a == 0 and b == 0:
                 a = rng.randint(1, 3)
-            classes.append(Bidegree(a, b))
+            classes.append((a, b))
         system = BidegreeSystem(
             ambient_n=n, ambient_m=total - n, classes=tuple(classes)
         )

@@ -7,7 +7,6 @@ import pytest
 from dqp import chow
 from dqp.chow import (
     FULTON_SUBSET_LIMIT,
-    Bidegree,
     BidegreeSystem,
     intersection_number_fulton,
     intersection_number_ring,
@@ -17,19 +16,34 @@ from dqp.verify import _random_system
 
 
 def system(n, m, pairs):
-    return BidegreeSystem(
-        ambient_n=n, ambient_m=m, classes=tuple(Bidegree(a, b) for a, b in pairs)
-    )
+    return BidegreeSystem(ambient_n=n, ambient_m=m, classes=tuple(pairs))
 
 
 def test_bidegree_validation():
     with pytest.raises(ValidationError):
-        Bidegree(0, 0)
+        system(1, 1, [(1, 1), (0, 0)])
     with pytest.raises(ValidationError):
-        Bidegree(-1, 2)
+        system(1, 1, [(-1, 2), (1, 1)])
     with pytest.raises(ValidationError):
-        Bidegree(1, 1.5)
-    assert Bidegree(0, 2).a == 0
+        system(1, 1, [(1, 1), (1, 1.5)])
+    assert system(0, 1, [(0, 2)]).classes[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [5, "11", (1,), (1, 2, 3), [1, 1], None],
+    ids=["int", "str", "short", "long", "list", "none"],
+)
+def test_system_refuses_a_class_that_is_not_a_pair(cls):
+    with pytest.raises(ValidationError, match=r"\(a, b\) pair"):
+        system(1, 1, [(1, 1), cls])
+
+
+def test_system_stores_its_classes_as_a_tuple():
+    s = system(1, 1, [(1, 1), (0, 2)])
+    assert BidegreeSystem(1, 1, [(1, 1), (0, 2)]) == s
+    assert s.classes == ((1, 1), (0, 2))
+    assert BidegreeSystem(1, 1, iter([(1, 1), (0, 2)])) == s
 
 
 def test_system_requires_matching_class_count():
@@ -88,9 +102,9 @@ def test_multilinearity():
         s = _random_system(rng, max_total=12)
         a, b = rng.randint(1, 3), rng.randint(1, 3)
         rest = s.classes[1:]
-        whole = BidegreeSystem(s.ambient_n, s.ambient_m, (Bidegree(a, b),) + rest)
-        h_only = BidegreeSystem(s.ambient_n, s.ambient_m, (Bidegree(a, 0),) + rest)
-        k_only = BidegreeSystem(s.ambient_n, s.ambient_m, (Bidegree(0, b),) + rest)
+        whole = BidegreeSystem(s.ambient_n, s.ambient_m, ((a, b),) + rest)
+        h_only = BidegreeSystem(s.ambient_n, s.ambient_m, ((a, 0),) + rest)
+        k_only = BidegreeSystem(s.ambient_n, s.ambient_m, ((0, b),) + rest)
         assert intersection_number_ring(whole) == intersection_number_ring(
             h_only
         ) + intersection_number_ring(k_only)
@@ -126,8 +140,8 @@ def test_fulton_budget_refusal():
 
 
 def _subset_sum_oracle(s):
-    a = [cls.a for cls in s.classes]
-    b = [cls.b for cls in s.classes]
+    a = [a for a, _ in s.classes]
+    b = [b for _, b in s.classes]
     return sum(
         prod(a[i] for i in chosen)
         * prod(b[j] for j in range(len(a)) if j not in chosen)

@@ -226,6 +226,27 @@ def test_chow_both_algorithms(capsys):
     assert doc["results"]["intersection_number"] == 2
 
 
+def test_chow_classes_are_not_rendered_as_dimension_rows(capsys):
+    argv = ["chow", "--n", "1", "--m", "1", "--classes", "1,1;1,1"]
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+    assert "dim " not in table
+    assert "    - [1, 1]" in table
+    code, csv_text, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert "results.classes,1,1," not in csv_text.split("\n")
+    assert 'results.classes[0],,"[1, 1]",' in csv_text.split("\n")
+
+
+def test_chow_class_entry_past_the_digit_limit_is_cut(capsys):
+    nines = "9" * 5000
+    code, out, err = run(capsys, "chow", "--n", "1", "--m", "0", "--classes", f"{nines},0")
+    assert code == 2
+    assert out == ""
+    assert "has too many digits" in err
+    assert len(err) < 100
+
+
 def test_chow_class_count_mismatch(capsys):
     code, _, err = run(capsys, "chow", "--n", "2", "--m", "1", "--classes", "1,1")
     assert code == 2
@@ -643,6 +664,17 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "invariants"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_out_path_that_cannot_be_written_is_invalid(capsys, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "invariants", "--n", "5", "--q", "3", "--p", "2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
 
 
 def test_table_format_mentions_elapsed(capsys):

@@ -16,7 +16,7 @@ from dqp.core import (
     validate_params,
     verify_massey_identity,
 )
-from dqp.chow import Bidegree, BidegreeSystem
+from dqp.chow import BidegreeSystem
 from dqp.errors import BudgetError, ValidationError
 from dqp.ffcount import NormalFormSpec, count_nonzero_y_slice, count_points
 from dqp.integral_closure import MonomialIdeal, default_witnesses, power_ideal
@@ -186,15 +186,12 @@ def test_massey_identity_sweep():
     [
         pytest.param(lambda: DqpParams(3, True, True), id="params-bool"),
         pytest.param(lambda: DqpParams(3.0, 1, 1), id="params-float"),
-        pytest.param(lambda: Bidegree(True, 0), id="bidegree-bool-a"),
-        pytest.param(lambda: Bidegree(1, False), id="bidegree-bool-b"),
+        pytest.param(lambda: BidegreeSystem(1, 0, ((True, 0),)), id="bidegree-bool-a"),
+        pytest.param(lambda: BidegreeSystem(0, 1, ((1, False),)), id="bidegree-bool-b"),
         pytest.param(
-            lambda: BidegreeSystem(1.5, 0.5, (Bidegree(1, 0), Bidegree(0, 1))),
-            id="system-float",
+            lambda: BidegreeSystem(1.5, 0.5, ((1, 0), (0, 1))), id="system-float"
         ),
-        pytest.param(
-            lambda: BidegreeSystem(True, 0, (Bidegree(1, 0),)), id="system-bool"
-        ),
+        pytest.param(lambda: BidegreeSystem(True, 0, ((1, 0),)), id="system-bool"),
         pytest.param(lambda: NormalFormSpec(p=True), id="spec-bool-p"),
         pytest.param(lambda: NormalFormSpec(p=1, q1=True), id="spec-bool-q1"),
         pytest.param(lambda: polar_multiplicities_sigma1(True), id="polar-bool"),

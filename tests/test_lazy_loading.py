@@ -50,7 +50,7 @@ def test_every_public_name_resolves(child):
         "assert not missing, missing\n"
         "assert set(dqp.__all__) <= set(dir(dqp))\n"
         "assert dqp.run_verify is dqp.verify.run_verify\n"
-        "assert dqp.Bidegree is sys.modules['dqp.chow'].Bidegree\n"
+        "assert dqp.BidegreeSystem is sys.modules['dqp.chow'].BidegreeSystem\n"
     )
     executed = child(statement=statement).executed
     assert executed == sorted(LAZY + ["errors"])
@@ -61,7 +61,7 @@ def test_concurrent_first_use_through_the_package(child):
     statement = (
         "import dqp, threading\n"
         "sys.setswitchinterval(1e-6)\n"
-        "names = ['is_reduction', 'run_verify', 'count_points', 'Bidegree']\n"
+        "names = ['is_reduction', 'run_verify', 'count_points', 'BidegreeSystem']\n"
         "barrier = threading.Barrier(8)\n"
         "errors = []\n"
         "def touch(k):\n"

@@ -23,7 +23,7 @@ def test_build_le_system_classes():
     assert system.ambient_m == 2
     counts = {}
     for c in system.classes:
-        counts[(c.a, c.b)] = counts.get((c.a, c.b), 0) + 1
+        counts[c] = counts.get(c, 0) + 1
     assert counts == {(1, 1): 3, (0, 2): 1, (1, 0): 3}
     assert len(system.classes) == 7
 

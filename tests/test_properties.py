@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dqp.chow import Bidegree, BidegreeSystem, intersection_number_ring  # noqa: E402
+from dqp.chow import BidegreeSystem, intersection_number_ring  # noqa: E402
 from dqp.cli import (  # noqa: E402
     _monomial_string,
     _parse_classes,
@@ -47,7 +47,7 @@ def test_monomial_text_round_trip(exponents, prefix):
 @given(st.lists(bidegrees, min_size=1, max_size=8))
 def test_classes_text_round_trip(classes):
     text = ";".join(f"{a},{b}" for a, b in classes)
-    assert _parse_classes(text) == tuple(Bidegree(a, b) for a, b in classes)
+    assert _parse_classes(text) == tuple(classes)
 
 
 @SMALL
@@ -103,7 +103,7 @@ def test_chow_linear_in_first_class(ambient, first, second, rest):
     n, m = ambient
 
     def number(a, b):
-        classes = (Bidegree(a, b),) + tuple(Bidegree(*c) for c in rest[: n + m - 1])
+        classes = ((a, b),) + tuple(rest[: n + m - 1])
         return intersection_number_ring(BidegreeSystem(n, m, classes))
 
     summed = number(first[0] + second[0], first[1] + second[1])

@@ -48,16 +48,14 @@ def test_random_system_draws_the_randint_system():
         for max_total in (10, 12):
             ours, theirs = random.Random(seed), random.Random(seed)
             s = _random_system(ours, max_total)
-            drawn = (s.ambient_n, s.ambient_m, [(c.a, c.b) for c in s.classes])
+            drawn = (s.ambient_n, s.ambient_m, list(s.classes))
             assert drawn == randint_system(theirs, max_total), seed
             assert ours.getstate() == theirs.getstate(), seed
 
 
 def test_first_chow_system_of_seed_0_pinned():
     s = _random_system(random.Random("0:chow-dual:0"))
-    assert s == chow.BidegreeSystem(
-        0, 4, tuple(chow.Bidegree(a, b) for a, b in [(1, 0), (3, 2), (2, 2), (1, 2)])
-    )
+    assert s == chow.BidegreeSystem(0, 4, ((1, 0), (3, 2), (2, 2), (1, 2)))
 
 
 if __name__ == "__main__":
