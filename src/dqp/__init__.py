@@ -85,30 +85,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BidegreeSystem",
-    "BudgetError",
-    "CheckError",
-    "DqpError",
-    "DqpParams",
-    "MonomialIdeal",
-    "NormalFormSpec",
-    "Report",
-    "ValidationError",
-    "count_points",
-    "counting_polynomial",
-    "det_multiplicity",
-    "euler_obstruction_hypersurface",
-    "euler_obstruction_sigma1",
-    "in_integral_closure_facets",
-    "in_integral_closure_newton",
-    "intersection_number_fulton",
-    "intersection_number_ring",
-    "is_reduction",
-    "le_number_via_chow",
-    "le_numbers",
-    "milnor_sphere_dimension",
-    "polar_multiplicities_sigma1",
-    "reduced_euler_characteristic",
-    "run_verify",
-]
+__all__ = sorted(["BudgetError", "CheckError", "DqpError", "ValidationError", *_EXPORTS])

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, ValidationError, is_int
+from .errors import BudgetError, ValidationError, naturals, require_int, shown
 
 __all__ = [
     "BidegreeSystem",
@@ -66,33 +66,23 @@ class BidegreeSystem:
     classes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not is_int(self.ambient_n) or not is_int(self.ambient_m):
-            raise ValidationError(f"ambient dimensions must be integers (got {self!r})")
-        if self.ambient_n < 0 or self.ambient_m < 0:
-            raise ValidationError("ambient dimensions must be nonnegative")
+        require_int("ambient_n", self.ambient_n, 0)
+        require_int("ambient_m", self.ambient_m, 0)
         classes = tuple(self.classes)  # a one-shot iterable is read once
         expected = self.ambient_n + self.ambient_m
         if len(classes) != expected:
             raise ValidationError(
                 f"class count must equal ambient_n + ambient_m "
-                f"(got {len(classes)} classes for n+m={expected})"
+                f"(got {len(classes)} classes for n+m={shown(expected)})"
             )
         for cls in classes:
-            if not isinstance(cls, tuple) or len(cls) != 2:
+            if not (
+                isinstance(cls, tuple) and len(cls) == 2 and naturals(cls) and any(cls)
+            ):
                 raise ValidationError(
-                    f"a bidegree class must be an (a, b) pair (got {cls!r})"
+                    "a bidegree class is an (a, b) pair of nonnegative ints, "
+                    f"not both 0 (got {shown(cls)})"
                 )
-            a, b = cls
-            if not (type(a) is int or is_int(a)) or not (type(b) is int or is_int(b)):
-                raise ValidationError(
-                    f"bidegree entries must be integers (got {cls!r})"
-                )
-            if a < 0 or b < 0:
-                raise ValidationError(
-                    f"bidegree entries must be nonnegative (got ({a},{b}))"
-                )
-            if not (a or b):
-                raise ValidationError("bidegree (0,0) does not define a hypersurface")
         object.__setattr__(self, "classes", classes)
 
 
@@ -109,7 +99,8 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
     cells = (n + 1) * len(system.classes)
     if cells > RING_CELL_LIMIT:
         raise BudgetError(
-            f"ring product refuses {cells} cell updates (limit {RING_CELL_LIMIT})",
+            f"ring product refuses {shown(cells)} cell updates "
+            f"(limit {RING_CELL_LIMIT})",
             required=cells,
         )
     coeffs = [1] + [0] * n
@@ -136,8 +127,8 @@ def intersection_number_fulton(system: BidegreeSystem) -> int:
     total = n + m
     if total > FULTON_SUBSET_LIMIT:
         raise BudgetError(
-            f"subset enumeration refuses n+m={total} classes "
-            f"(limit {FULTON_SUBSET_LIMIT}, {comb(total, n)} subsets); "
+            f"subset enumeration refuses n+m={shown(total)} classes "
+            f"(limit {FULTON_SUBSET_LIMIT}, {shown(comb(total, n))} subsets); "
             "use the ring algorithm",
             required=comb(total, n),
         )

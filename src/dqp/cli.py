@@ -25,7 +25,7 @@ import time
 from collections import Counter
 
 from . import chow, core, ffcount, integral_closure, le_engine, verify
-from .errors import BudgetError, CheckError, ValidationError
+from .errors import BudgetError, CheckError, ValidationError, require_int, shown
 from .report import DEFAULT_PMAX, SCOPES, Check, Report, dimension_table
 
 __all__ = ["main", "build_parser"]
@@ -38,7 +38,8 @@ def _budget_from_env(default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValidationError(f"DQP_BUDGET must be an integer (got {raw!r})") from None
+        message = f"DQP_BUDGET must be an integer (got {shown(raw)})"
+        raise ValidationError(message) from None
 
 
 def cmd_invariants(args: argparse.Namespace) -> Report:
@@ -93,11 +94,10 @@ def cmd_invariants(args: argparse.Namespace) -> Report:
 def cmd_lecycles(args: argparse.Namespace) -> Report:
     started = time.perf_counter()
     p = args.p
-    indices = [args.i] if args.i is not None else None
-    if indices is None:
-        if p < 2:
-            raise ValidationError(f"p must satisfy p >= 2 (got p={p})")
-        indices = list(range(1, p + 1))
+    if args.i is not None:
+        indices = [args.i]
+    else:
+        require_int("p", p, 2)
         # Each ring product is bounded on its own; bound their sum too.  Every
         # system of le_engine.build_le_system(p, i) has n + 1 = p(p+1)/2 cells
         # and n + m = p(p+1)/2 + p - 2 classes, whatever i is.
@@ -105,10 +105,11 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
         cells = p * half * (half + p - 2)
         if cells > chow.RING_CELL_LIMIT:
             raise BudgetError(
-                f"lecycles refuses {cells} ring cell updates over {p} systems "
-                f"(limit {chow.RING_CELL_LIMIT})",
+                f"lecycles refuses {shown(cells)} ring cell updates over "
+                f"{shown(p)} systems (limit {chow.RING_CELL_LIMIT})",
                 required=cells,
             )
+        indices = list(range(1, p + 1))
     params = core.minimal_params(p)
     closed = core.le_numbers(params)
     polar = core.polar_multiplicities_sigma1(p)
@@ -186,15 +187,15 @@ def _parse_classes(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise ValidationError(
                 f"each class must be 'a,b' with classes separated by ';' "
-                f"(got {piece!r})"
+                f"(got {shown(piece)})"
             )
         try:
             classes.append((int(parts[0]), int(parts[1])))
         except ValueError:  # not an integer, or past the int string-conversion limit
             if max(map(len, parts)) > sys.get_int_max_str_digits() > 0:
-                message = f"{piece[:40]!r}... has too many digits"
+                message = f"{shown(piece)} has too many digits"
             else:
-                message = f"bidegree entries must be integers (got {piece!r})"
+                message = f"bidegree entries must be integers (got {shown(piece)})"
             raise ValidationError(message) from None
     if not classes:
         raise ValidationError("at least one bidegree class is required")
@@ -253,8 +254,6 @@ _VARIABLE_TOKEN = re.compile(r"([xy])(\d+)(?:\^(\d+))?")
 
 def _parse_monomial_text(text: str, prefixes: set[str]) -> dict[int, int]:
     compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise ValidationError("empty monomial")
     exponents: dict[int, int] = {}
     pos = 0
     while pos < len(compact):
@@ -264,8 +263,8 @@ def _parse_monomial_text(text: str, prefixes: set[str]) -> dict[int, int]:
         match = _VARIABLE_TOKEN.match(compact, pos)
         if match is None:
             raise ValidationError(
-                f"cannot parse monomial {text!r} near {compact[pos:]!r}; expected "
-                f"variables like y1, y2^3 separated by optional '*'"
+                f"cannot parse monomial {shown(text)} near {shown(compact[pos:])}; "
+                f"expected variables like y1, y2^3 separated by optional '*'"
             )
         letter, index_text, power_text = match.groups()
         prefixes.add(letter)
@@ -274,11 +273,13 @@ def _parse_monomial_text(text: str, prefixes: set[str]) -> dict[int, int]:
             power += exponents.get(index - 1, 0)
             str(power)  # a repeated variable's sum may pass the limit its parts met
         except ValueError:  # past the interpreter's int string-conversion limit
-            raise ValidationError(f"{text[:40]!r}... has too many digits") from None
+            raise ValidationError(f"{shown(text)} has too many digits") from None
         if index < 1:
             raise ValidationError(f"variable indices start at 1 (got {letter}{index})")
         exponents[index - 1] = power
         pos = match.end()
+    if not exponents:  # no variable read, only whitespace or '*'
+        raise ValidationError("empty monomial")
     return exponents
 
 

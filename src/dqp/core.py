@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, ValidationError, is_int
+from .errors import BudgetError, ValidationError, require_int, shown
 
 __all__ = [
     "DqpParams",
@@ -87,19 +87,19 @@ class DqpParams:
     p: int
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("q", self.q), ("p", self.p)):
-            if not is_int(value):
-                raise ValidationError(f"{name} must be an integer (got {value!r})")
-        if self.p < 1:
-            raise ValidationError(f"p must satisfy p >= 1 (got p={self.p})")
+        require_int("n", self.n)
+        require_int("q", self.q)
+        require_int("p", self.p, 1)
         bound = self.p * (self.p + 1) // 2
         if self.q < bound:
             raise ValidationError(
-                f"q must satisfy q >= p(p+1)/2 (got q={self.q}, p(p+1)/2={bound})"
+                f"q must satisfy q >= p(p+1)/2 "
+                f"(got q={shown(self.q)}, p(p+1)/2={shown(bound)})"
             )
         if self.n < self.q + self.p:
             raise ValidationError(
-                f"n must satisfy n >= q + p (got n={self.n}, q + p={self.q + self.p})"
+                f"n must satisfy n >= q + p "
+                f"(got n={shown(self.n)}, q + p={shown(self.q + self.p)})"
             )
 
     @property
@@ -155,7 +155,7 @@ def le_numbers(params: DqpParams) -> dict[int, int]:
     q, p = params.q, params.p
     if q + 1 > LE_TABLE_LIMIT:
         raise BudgetError(
-            f"a Lê table over dimensions 0..{q} has {q + 1} entries "
+            f"a Lê table over dimensions 0..{shown(q)} has {shown(q + 1)} entries "
             f"(limit {LE_TABLE_LIMIT})",
             required=q + 1,
         )
@@ -177,8 +177,7 @@ def polar_multiplicities_sigma1(p: int) -> dict[int, int]:
     the minimal D(p(p+1)/2, p) germ at the same dimension, because the
     corresponding Lê cycles carry multiplicity 2.
     """
-    if not is_int(p) or p < 1:
-        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
+    require_int("p", p, 1)
     top = p * (p + 1) // 2 - 1
     entries = {d: 0 for d in range(top + 1)}
     for i in range(p):
@@ -194,8 +193,7 @@ def euler_obstruction_sigma1(p: int) -> int:
     is positive; :mod:`dqp.verify` compares this value with that sum over
     the multiplicities the incidence systems compute.
     """
-    if not is_int(p) or p < 1:
-        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
+    require_int("p", p, 1)
     return p % 2
 
 

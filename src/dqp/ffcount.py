@@ -43,7 +43,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from .core import DqpParams
-from .errors import BudgetError, CheckError, ValidationError, is_int
+from .errors import BudgetError, CheckError, ValidationError, is_int, require_int, shown
 
 __all__ = [
     "NormalFormSpec",
@@ -73,10 +73,8 @@ class NormalFormSpec:
     q1: int = 0
 
     def __post_init__(self) -> None:
-        if not is_int(self.p) or self.p < 1:
-            raise ValidationError(f"p must satisfy p >= 1 (got p={self.p})")
-        if not is_int(self.q1) or self.q1 < 0:
-            raise ValidationError(f"q1 must satisfy q1 >= 0 (got q1={self.q1})")
+        require_int("p", self.p, 1)
+        require_int("q1", self.q1, 0)
 
     @property
     def matrix_variable_count(self) -> int:
@@ -111,7 +109,7 @@ class PointCountReport:
 
 def _require_odd_modulus(prime: int) -> None:
     if not is_int(prime) or prime < 3 or prime % 2 == 0:
-        raise ValidationError(f"the modulus must be an odd prime (got {prime})")
+        raise ValidationError(f"the modulus must be an odd prime (got {shown(prime)})")
 
 
 # Miller-Rabin with the first 12 prime bases is exact below the least
@@ -126,7 +124,7 @@ def _require_odd_prime(prime: int) -> None:
     _require_odd_modulus(prime)
     if prime >= _MR_EXACT_BELOW:
         raise BudgetError(
-            f"primality of {prime} is only decided below {_MR_EXACT_BELOW}"
+            f"primality of {shown(prime)} is only decided below {_MR_EXACT_BELOW}"
         )
     if prime in _MR_BASES:
         return
@@ -142,7 +140,9 @@ def _require_odd_prime(prime: int) -> None:
             if x == prime - 1:
                 break
         else:
-            raise ValidationError(f"the modulus must be an odd prime (got {prime})")
+            raise ValidationError(
+                f"the modulus must be an odd prime (got {shown(prime)})"
+            )
 
 
 def eval_normal_form(
@@ -152,7 +152,7 @@ def eval_normal_form(
     _require_odd_prime(prime)
     if len(point) != spec.n:
         raise ValidationError(
-            f"point has {len(point)} coordinates, the normal form needs {spec.n}"
+            f"point has {len(point)} coordinates, the normal form needs {shown(spec.n)}"
         )
     x = point[: spec.matrix_variable_count]
     y = point[spec.matrix_variable_count + spec.q1 :]
@@ -286,15 +286,18 @@ def count_nonzero_y_slice(
     slices it runs at once, so that they solve each form once between
     them.
     """
-    for name, value in (("target", target), ("start", start), ("stop", stop)):
-        if not is_int(value):
-            raise ValidationError(f"{name} must be an integer (got {value!r})")
+    require_int("target", target)
+    require_int("start", start)
+    require_int("stop", stop)
     _require_odd_prime(prime)
     if not 0 < target % prime:
-        raise ValidationError(f"target must be nonzero mod {prime} (got {target})")
+        raise ValidationError(
+            f"target must be nonzero mod {shown(prime)} (got {shown(target)})"
+        )
     if not 0 <= start <= stop <= prime**spec.p:
         raise ValidationError(
-            f"slice [{start}, {stop}) out of range for {prime}^{spec.p} y-vectors"
+            f"slice [{shown(start)}, {shown(stop)}) out of range for "
+            f"{shown(prime)}^{shown(spec.p)} y-vectors"
         )
     pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
@@ -332,18 +335,17 @@ def count_points(
     of one slice, but the counter holds the interpreter lock: jobs > 1 is
     never faster than jobs = 1.
     """
-    for name, value in (("budget", budget), ("jobs", jobs)):
-        if not is_int(value) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer (got {value})")
-    if not is_int(target):
-        raise ValidationError(f"target must be an integer (got {target!r})")
+    require_int("budget", budget, 1)
+    require_int("jobs", jobs, 1)
+    require_int("target", target)
     _require_odd_modulus(prime)
     # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
     # refuse without computing the power, whose size n alone can blow up.
     enumerated = None if spec.n > budget.bit_length() else prime**spec.n
     if enumerated is None or enumerated > budget:
         raise BudgetError(
-            f"counting {prime}^{spec.n} points exceeds the budget of {budget}",
+            f"counting {shown(prime)}^{shown(spec.n)} points exceeds the budget "
+            f"of {shown(budget)}",
             required=enumerated,
         )
     _require_odd_prime(prime)

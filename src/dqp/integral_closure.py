@@ -36,7 +36,7 @@ from functools import partial, reduce
 from math import comb, gcd
 from operator import and_, le, mul
 
-from .errors import BudgetError, ValidationError, is_int
+from .errors import BudgetError, ValidationError, naturals, require_int, shown
 
 __all__ = [
     "MonomialIdeal",
@@ -80,10 +80,7 @@ class MonomialIdeal:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_int(self.variable_count) or self.variable_count < 1:
-            raise ValidationError(
-                f"variable_count must be a positive integer (got {self.variable_count})"
-            )
+        require_int("variable_count", self.variable_count, 1)
         generators = tuple(self.generators)  # a one-shot iterable is read once
         if not generators:
             raise ValidationError("a monomial ideal needs at least one generator")
@@ -107,16 +104,16 @@ class MonomialIdeal:
     def _check_dimension(self, m: tuple[int, ...]) -> None:
         """Refuse anything but a tuple of variable_count nonnegative ints."""
         n = self.variable_count
-        if not isinstance(m, tuple) or len(m) != n or not _naturals(m):
+        if not isinstance(m, tuple) or len(m) != n or not naturals(m):
             raise ValidationError(
-                f"a monomial here is a tuple of {n} nonnegative ints (got {m})"
+                f"a monomial here is a tuple of {shown(n)} nonnegative ints "
+                f"(got {shown(m)})"
             )
 
 
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
     """e-th power: all e-fold generator products, minimalized on construction."""
-    if not is_int(e) or e < 1:
-        raise ValidationError(f"the exponent must be a positive integer (got {e})")
+    require_int("e", e, 1)
     products = (
         tuple(map(sum, zip(*combo)))
         for combo in itertools.combinations_with_replacement(ideal.generators, e)
@@ -129,8 +126,9 @@ def require_newton_tableau(variable_count: int, generator_count: int) -> None:
     cells = (variable_count + 1) * (generator_count + variable_count + 1)
     if cells > NEWTON_CELL_LIMIT:
         raise BudgetError(
-            f"{generator_count} generators in {variable_count} variables bound "
-            f"the Newton tableau at {cells} cells (limit {NEWTON_CELL_LIMIT})",
+            f"{shown(generator_count)} generators in {shown(variable_count)} "
+            f"variables bound the Newton tableau at {shown(cells)} cells "
+            f"(limit {NEWTON_CELL_LIMIT})",
             required=cells,
         )
 
@@ -217,9 +215,10 @@ def in_integral_closure_valuative(
     ideal._check_dimension(m)
     n, gens = ideal.variable_count, ideal.generators
     for w in witnesses:
-        if not isinstance(w, tuple) or len(w) != n or not _naturals(w) or not any(w):
+        if not isinstance(w, tuple) or len(w) != n or not naturals(w) or not any(w):
             raise ValidationError(
-                f"a witness is a tuple of {n} nonnegative ints, not all zero (got {w})"
+                f"a witness is a tuple of {shown(n)} nonnegative ints, not all zero "
+                f"(got {shown(w)})"
             )
     return all(
         sum(map(mul, w, m)) >= min(sum(map(mul, w, g)) for g in gens)
@@ -227,17 +226,9 @@ def in_integral_closure_valuative(
     )
 
 
-def _naturals(values) -> bool:
-    """is_int(v) and v >= 0 for every value, in one pass; plain ints skip is_int."""
-    return all((type(v) is int or is_int(v)) and v >= 0 for v in values)
-
-
 def default_witnesses(variable_count: int, seed: int | str = 0) -> list[tuple[int, ...]]:
     """Unit vectors, the all-ones vector, and seeded small-integer vectors."""
-    if not is_int(variable_count) or variable_count < 1:
-        raise ValidationError(
-            f"variable_count must be a positive integer (got {variable_count})"
-        )
+    require_int("variable_count", variable_count, 1)
     witnesses = [
         tuple(int(i == j) for j in range(variable_count)) for i in range(variable_count)
     ]
@@ -286,8 +277,8 @@ def newton_facet_normals(
     bound = facet_ray_bound(n, count)
     if bound > FACET_RAY_LIMIT:
         raise BudgetError(
-            f"facet enumeration in {n} variables with {count} generators "
-            f"may hold {bound} rays (limit {FACET_RAY_LIMIT})",
+            f"facet enumeration in {shown(n)} variables with {count} generators "
+            f"may hold {shown(bound)} rays (limit {FACET_RAY_LIMIT})",
             required=bound,
         )
     first, *others = ideal.generators
@@ -372,8 +363,8 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     """
     if sub.variable_count != full.variable_count:
         raise ValidationError(
-            f"cannot compare ideals in {sub.variable_count} and "
-            f"{full.variable_count} variables"
+            f"cannot compare ideals in {shown(sub.variable_count)} and "
+            f"{shown(full.variable_count)} variables"
         )
     require_newton_tableau(sub.variable_count, len(sub.generators))
     if not all(full.contains_monomial(g) for g in sub.generators):

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 
 from .chow import BidegreeSystem, intersection_number_ring
-from .errors import ValidationError, is_int
+from .errors import require_int
 
 __all__ = [
     "build_le_system",
@@ -55,10 +55,8 @@ def build_le_system(p: int, i: int) -> BidegreeSystem:
     p >= 2 (for p = 1 the hyperplane count would go negative) and
     1 <= i <= p.
     """
-    if not is_int(p) or p < 2:
-        raise ValidationError(f"p must satisfy p >= 2 (got p={p})")
-    if not is_int(i) or not 1 <= i <= p:
-        raise ValidationError(f"i must satisfy 1 <= i <= p (got i={i}, p={p})")
+    require_int("p", p, 2)
+    require_int("i", i, 1, p)
     ambient_n = p * (p + 1) // 2 - 1
     ambient_m = p - 1
     hyperplanes = p * (p + 1) // 2 - i - 1
@@ -134,8 +132,7 @@ def det_multiplicity(p: int) -> int:
     are all singular the line reports p + 2, which no determinant of
     degree p can reach.
     """
-    if not is_int(p) or p < 1:
-        raise ValidationError(f"p must satisfy p >= 1 (got p={p})")
+    require_int("p", p, 1)
     orders = []
     for line in range(3):
         rng = random.Random(f"det:{p}:{line}")

@@ -46,7 +46,7 @@ import random
 import time
 
 from . import chow, core, ffcount, integral_closure, le_engine
-from .errors import CheckError, ValidationError, is_int
+from .errors import CheckError, ValidationError, require_int, shown
 from .report import DEFAULT_PMAX, SCOPES, Check, Report
 
 __all__ = [
@@ -585,14 +585,10 @@ def run_verify(
     """Run the selected suites and fold their checks into one report."""
     if scope not in SCOPES:
         raise ValidationError(
-            f"scope must be one of {', '.join(SCOPES)} (got {scope!r})"
+            f"scope must be one of {', '.join(SCOPES)} (got {shown(scope)})"
         )
-    if not is_int(pmax) or not 2 <= pmax <= 8:
-        raise ValidationError(f"pmax must satisfy 2 <= pmax <= 8 (got {pmax})")
-    if not is_int(sweep_limit) or sweep_limit < 1:
-        raise ValidationError(
-            f"the enumeration limit must be a positive integer (got {sweep_limit})"
-        )
+    require_int("pmax", pmax, 2, 8)
+    require_int("sweep_limit", sweep_limit, 1)
     suites = (
         ("core", lambda: core_checks(pmax)),
         ("chow", lambda: chow_checks(seed)),

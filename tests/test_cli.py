@@ -216,6 +216,14 @@ def test_lecycles_rejects_p1(capsys):
     assert "p >= 2" in err
 
 
+def test_lecycles_refuses_a_huge_p_before_listing_its_indices(capsys):
+    'the total cell bound is checked before the list of p indices is built'
+    code, out, err = run(capsys, "lecycles", "--p", str(10**20))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ")
+
+
 def test_chow_both_algorithms(capsys):
     code, doc, _, _ = run_json(
         capsys, "chow", "--n", "2", "--m", "1", "--classes", "1,1;1,1;0,2"
@@ -526,6 +534,20 @@ def test_closure_grammar_errors(capsys):
     code, _, err = run(capsys, "closure", "--ideal", "y1^2")
     assert code == 2
     assert "monomial" in err
+    # every generator and candidate needs a variable; y1^0 is one
+    for argv in (
+        ("--ideal", "*", "--monomial", "*"),
+        ("--mode", "reduction", "--ideal", "*", "--full", "*"),
+        ("--ideal", "*,y1", "--monomial", "y1"),
+        ("--ideal", "y1", "--monomial", " "),
+    ):
+        code, out, err = run(capsys, "closure", *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty monomial" in err
+    code, doc, _, _ = run_json(capsys, "closure", "--ideal", "y1^0", "--monomial", "y1")
+    assert code == 0
+    assert doc["results"]["member"] is True
 
 
 @pytest.mark.parametrize(
@@ -576,7 +598,7 @@ def test_count_nonpositive_budget_is_invalid(capsys, monkeypatch, budget):
     code, out, err = run(capsys, "count", "--p", "1", "--prime", "3", "--budget", budget)
     assert code == 2
     assert out == ""
-    assert "budget must be a positive integer" in err
+    assert "budget must satisfy budget >= 1" in err
     monkeypatch.setenv("DQP_BUDGET", budget)
     assert run(capsys, "count", "--p", "1", "--prime", "3")[0] == 2
 
@@ -637,6 +659,36 @@ def test_count_modulus_beyond_exact_primality_refused(capsys):
     assert code == 3
     assert out == ""
     assert "primality" in err
+
+
+# The most digits an int may have and still convert to and from a string.
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["invariants", "--n", "1", "--q", "1", "--p", NINES], 2),
+        (["invariants", "--n", "1", "--q", NINES, "--p", "9"], 2),
+        (["count", "--p", NINES, "--prime", "3"], 3),
+        (["count", "--p", "1", "--q1", NINES, "--prime", "3"], 3),
+        (["chow", "--n", NINES, "--m", "1", "--classes", "1,0"], 2),
+        (["count", "--p", "1", "--prime", "3", "--target", NINES], 2),
+        (["verify", "--pmax", NINES], 2),
+    ],
+    ids=[
+        "invariants-p", "invariants-q", "count-p", "count-q1", "chow-n",
+        "count-target", "verify-pmax",
+    ],
+)
+def test_a_value_at_the_digit_limit_is_refused_in_a_short_message(
+    capsys, argv, expected
+):
+    'an int whose derived values pass the limit is named or cut, never printed whole'
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert len(err) < 200
 
 
 def test_verify_core_scope(capsys):

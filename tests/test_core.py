@@ -16,10 +16,21 @@ from dqp.core import (
     validate_params,
     verify_massey_identity,
 )
-from dqp.chow import BidegreeSystem
-from dqp.errors import BudgetError, ValidationError
-from dqp.ffcount import NormalFormSpec, count_nonzero_y_slice, count_points
-from dqp.integral_closure import MonomialIdeal, default_witnesses, power_ideal
+from dqp.chow import BidegreeSystem, intersection_number_fulton
+from dqp.errors import BudgetError, ValidationError, require_int, shown
+from dqp.ffcount import (
+    NormalFormSpec,
+    count_nonzero_y_slice,
+    count_points,
+    eval_normal_form,
+)
+from dqp.integral_closure import (
+    MonomialIdeal,
+    default_witnesses,
+    in_integral_closure_valuative,
+    power_ideal,
+    require_newton_tableau,
+)
 from dqp.le_engine import build_le_system, det_multiplicity
 from dqp.verify import run_verify
 
@@ -181,6 +192,10 @@ def test_massey_identity_sweep():
                 assert verify_massey_identity(DqpParams(n, q, p))
 
 
+# 5001 digits, past the interpreter's 4300-digit int-string limit
+HUGE = 10**5000
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -247,8 +262,110 @@ def test_massey_identity_sweep():
         pytest.param(
             lambda: run_verify(scope="core", sweep_limit=True), id="sweep-limit-bool"
         ),
+        pytest.param(lambda: DqpParams(3, 1, -HUGE), id="params-huge-p"),
+        pytest.param(lambda: DqpParams(3, 1, HUGE), id="params-huge-bound"),
+        pytest.param(lambda: DqpParams(3, HUGE, 1), id="params-huge-q"),
+        pytest.param(lambda: BidegreeSystem(1, 0, ((-HUGE, 0),)), id="bidegree-huge"),
+        pytest.param(lambda: BidegreeSystem(HUGE, 0, ((1, 0),)), id="system-huge"),
+        pytest.param(lambda: NormalFormSpec(p=-HUGE), id="spec-huge-p"),
+        pytest.param(lambda: NormalFormSpec(p=1, q1=-HUGE), id="spec-huge-q1"),
+        pytest.param(
+            lambda: eval_normal_form(NormalFormSpec(1, HUGE), (1,), 3),
+            id="point-huge-spec",
+        ),
+        pytest.param(lambda: polar_multiplicities_sigma1(-HUGE), id="polar-huge"),
+        pytest.param(lambda: euler_obstruction_sigma1(-HUGE), id="euler-huge"),
+        pytest.param(lambda: det_multiplicity(-HUGE), id="det-huge"),
+        pytest.param(lambda: build_le_system(-HUGE, 1), id="le-system-huge-p"),
+        pytest.param(lambda: build_le_system(2, HUGE), id="le-system-huge-i"),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 3, budget=-HUGE), id="budget-huge"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 3, jobs=-HUGE), id="jobs-huge"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 5, target=5 * HUGE),
+            id="target-huge",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1, -HUGE, 5),
+            id="slice-huge-start",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 5, 1, 0, HUGE),
+            id="slice-huge-stop",
+        ),
+        pytest.param(lambda: MonomialIdeal(HUGE, ((1,),)), id="ideal-huge-width"),
+        pytest.param(lambda: MonomialIdeal(1, ((-HUGE,),)), id="ideal-huge-exponent"),
+        pytest.param(
+            lambda: power_ideal(MonomialIdeal(1, ((1,),)), -HUGE), id="power-huge"
+        ),
+        pytest.param(lambda: default_witnesses(-HUGE), id="witnesses-huge"),
+        pytest.param(
+            lambda: in_integral_closure_valuative(
+                MonomialIdeal(1, ((1,),)), (1,), [(-HUGE,)]
+            ),
+            id="witness-huge",
+        ),
+        pytest.param(lambda: run_verify(pmax=HUGE), id="pmax-huge"),
+        pytest.param(
+            lambda: run_verify(scope="core", sweep_limit=-HUGE), id="sweep-limit-huge"
+        ),
     ],
 )
 def test_sizes_reject_bool_and_non_integers(build):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         build()
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        pytest.param(lambda: le_numbers(DqpParams(HUGE + 2, HUGE, 1)), id="le-table"),
+        pytest.param(lambda: count_points(NormalFormSpec(HUGE), 3), id="count-p"),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), HUGE + 1), id="count-prime"
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), HUGE + 1, 1, 0, 5),
+            id="slice-primality",
+        ),
+        pytest.param(lambda: require_newton_tableau(HUGE, 1), id="newton-tableau"),
+        pytest.param(
+            lambda: intersection_number_fulton(
+                BidegreeSystem(10000, 10000, ((1, 1),) * 20000)
+            ),
+            id="subset-count",
+        ),
+    ],
+)
+def test_refusals_never_print_a_huge_int(refuse):
+    'a refusal names an int past the digit limit instead of converting it'
+    with pytest.raises(BudgetError, match="<int too long to show>") as info:
+        refuse()
+    assert len(str(info.value)) < 200
+
+
+def test_shown_cuts_a_long_repr_and_names_a_huge_int():
+    assert shown(12) == "12"
+    assert shown("y1") == "'y1'"
+    assert shown("9" * 100) == "'" + "9" * 39 + "..."
+    assert shown(HUGE) == shown((HUGE, 0)) == "<int too long to show>"
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, message",
+    [
+        (True, 1, None, r"^x must be an integer \(got True\)$"),
+        (0, 1, None, r"^x must satisfy x >= 1 \(got x=0\)$"),
+        (9, 2, 8, r"^x must satisfy 2 <= x <= 8 \(got x=9\)$"),
+        (1, 2, 8, r"^x must satisfy 2 <= x <= 8 \(got x=1\)$"),
+    ],
+)
+def test_require_int_names_the_rule(value, lo, hi, message):
+    with pytest.raises(ValidationError, match=message):
+        require_int("x", value, lo, hi)
+    require_int("x", 5, 2, 8)
+    require_int("x", -HUGE)
