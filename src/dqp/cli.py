@@ -31,15 +31,30 @@ from .report import DEFAULT_PMAX, SCOPES, Check, Report, dimension_table
 __all__ = ["main", "build_parser"]
 
 
+def _int_text(name: str, text: str) -> int:
+    """text read as an int; a refusal names `name` and shows text through `shown`."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past the int string-conversion limit
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit > 0:
+            message = f"{name} has too many digits (more than {limit})"
+        else:
+            message = f"{name} must be an integer (got {shown(text)})"
+        raise ValidationError(message) from None
+
+
+def _int(text: str) -> int:
+    """Type of every int flag: argparse would print a failed text whole."""
+    try:
+        return _int_text("value", text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _budget_from_env(default: int) -> int:
     raw = os.environ.get("DQP_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        message = f"DQP_BUDGET must be an integer (got {shown(raw)})"
-        raise ValidationError(message) from None
+    return default if raw is None else _int_text("DQP_BUDGET", raw)
 
 
 def cmd_invariants(args: argparse.Namespace) -> Report:
@@ -189,14 +204,7 @@ def _parse_classes(text: str) -> tuple[tuple[int, int], ...]:
                 f"each class must be 'a,b' with classes separated by ';' "
                 f"(got {shown(piece)})"
             )
-        try:
-            classes.append((int(parts[0]), int(parts[1])))
-        except ValueError:  # not an integer, or past the int string-conversion limit
-            if max(map(len, parts)) > sys.get_int_max_str_digits() > 0:
-                message = f"{shown(piece)} has too many digits"
-            else:
-                message = f"bidegree entries must be integers (got {shown(piece)})"
-            raise ValidationError(message) from None
+        classes.append(tuple(_int_text("a bidegree entry", part) for part in parts))
     if not classes:
         raise ValidationError("at least one bidegree class is required")
     return tuple(classes)
@@ -466,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser(
         "invariants", parents=[output], help="all invariant tables for one (n, q, p)"
     )
-    p_inv.add_argument("--n", type=int, required=True, help="ambient variable count")
-    p_inv.add_argument("--q", type=int, required=True, help="singular locus dimension")
-    p_inv.add_argument("--p", type=int, required=True, help="symmetric matrix size")
+    p_inv.add_argument("--n", type=_int, required=True, help="ambient variable count")
+    p_inv.add_argument("--q", type=_int, required=True, help="singular locus dimension")
+    p_inv.add_argument("--p", type=_int, required=True, help="symmetric matrix size")
     p_inv.set_defaults(handler=cmd_invariants)
 
     p_le = sub.add_parser(
@@ -476,17 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[output],
         help="Lê numbers of the minimal germ via intersection theory",
     )
-    p_le.add_argument("--p", type=int, required=True, help="symmetric matrix size")
+    p_le.add_argument("--p", type=_int, required=True, help="symmetric matrix size")
     p_le.add_argument(
-        "--i", type=int, default=None, help="single cycle index (default: all 1..p)"
+        "--i", type=_int, default=None, help="single cycle index (default: all 1..p)"
     )
     p_le.set_defaults(handler=cmd_lecycles)
 
     p_chow = sub.add_parser(
         "chow", parents=[output], help="bidegree intersection numbers on P^n x P^m"
     )
-    p_chow.add_argument("--n", type=int, required=True, help="first factor dimension")
-    p_chow.add_argument("--m", type=int, required=True, help="second factor dimension")
+    p_chow.add_argument("--n", type=_int, required=True, help="first factor dimension")
+    p_chow.add_argument("--m", type=_int, required=True, help="second factor dimension")
     p_chow.add_argument(
         "--classes",
         required=True,
@@ -517,21 +525,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser(
         "count", parents=[output], help="finite-field point counts of the normal form"
     )
-    p_count.add_argument("--p", type=int, required=True, help="symmetric matrix size")
+    p_count.add_argument("--p", type=_int, required=True, help="symmetric matrix size")
     p_count.add_argument(
-        "--q1", type=int, default=0, help="coordinates the normal form ignores"
+        "--q1", type=_int, default=0, help="coordinates the normal form ignores"
     )
-    p_count.add_argument("--prime", type=int, required=True, help="odd prime modulus")
-    p_count.add_argument("--target", type=int, default=1, help="nonzero field element")
+    p_count.add_argument("--prime", type=_int, required=True, help="odd prime modulus")
+    p_count.add_argument("--target", type=_int, default=1, help="nonzero field element")
     p_count.add_argument(
         "--budget",
-        type=int,
+        type=_int,
         default=None,
         help="maximum prime^n (default: DQP_BUDGET or 10^8)",
     )
     p_count.add_argument(
         "--jobs",
-        type=int,
+        type=_int,
         default=None,
         help="worker threads, capped at the available cores (default: 1); the "
         "counter holds the interpreter lock, so more threads do not count "
@@ -547,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--pmax",
-        type=int,
+        type=_int,
         default=DEFAULT_PMAX,
         help=f"largest matrix size exercised (default {DEFAULT_PMAX}, max 8)",
     )

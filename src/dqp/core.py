@@ -53,9 +53,9 @@ __all__ = [
 ]
 
 
-# Lê tables are dense over 0..q, and q = 2*10^6 took 2.1 s and 162 MiB.
-# At this limit the table builds in ~0.02 s and `dqp invariants` renders
-# it as JSON in ~0.7 s (2-core VM).
+# Lê and polar tables are dense; a Lê table over 0..q for q = 2*10^6 took
+# 2.1 s and 162 MiB.  At this limit a table builds in ~0.02 s and `dqp
+# invariants` renders a Lê table as JSON in ~0.7 s (2-core VM).
 LE_TABLE_LIMIT = 10**5
 
 # The exactly two fixed Lê cycles, as (name, codimension in the singular
@@ -152,17 +152,7 @@ def le_numbers(params: DqpParams) -> dict[int, int]:
     unchanged, so the table depends on (q, p) alone.  A table of more
     than LE_TABLE_LIMIT entries is refused before it is allocated.
     """
-    q, p = params.q, params.p
-    if q + 1 > LE_TABLE_LIMIT:
-        raise BudgetError(
-            f"a Lê table over dimensions 0..{shown(q)} has {shown(q + 1)} entries "
-            f"(limit {LE_TABLE_LIMIT})",
-            required=q + 1,
-        )
-    entries = {d: 0 for d in range(q + 1)}
-    for i in range(p + 1):
-        entries[q - i] = 2**i * comb(p, p - i)
-    return entries
+    return _dense_table("Lê", params.q, params.p, 0)
 
 
 def polar_multiplicities_sigma1(p: int) -> dict[int, int]:
@@ -175,13 +165,27 @@ def polar_multiplicities_sigma1(p: int) -> dict[int, int]:
     m^{p(p+1)/2 - i - 1} = 2^i * C(p, p-i-1) for 0 <= i < p, zero at
     every other dimension.  Each entry is exactly half the Lê number of
     the minimal D(p(p+1)/2, p) germ at the same dimension, because the
-    corresponding Lê cycles carry multiplicity 2.
+    corresponding Lê cycles carry multiplicity 2.  A table of more than
+    LE_TABLE_LIMIT entries is refused before it is allocated.
     """
     require_int("p", p, 1)
-    top = p * (p + 1) // 2 - 1
+    return _dense_table("polar", p * (p + 1) // 2 - 1, p, 1)
+
+
+def _dense_table(name: str, top: int, p: int, shift: int) -> dict[int, int]:
+    """{d: 0} over d in 0..top, with entry top - i = 2^i * C(p, p - i - shift).
+
+    More than LE_TABLE_LIMIT entries are refused before any is allocated.
+    """
+    if top + 1 > LE_TABLE_LIMIT:
+        raise BudgetError(
+            f"a {name} table over dimensions 0..{shown(top)} has {shown(top + 1)} "
+            f"entries (limit {LE_TABLE_LIMIT})",
+            required=top + 1,
+        )
     entries = {d: 0 for d in range(top + 1)}
-    for i in range(p):
-        entries[top - i] = 2**i * comb(p, p - i - 1)
+    for i in range(p + 1 - shift):
+        entries[top - i] = 2**i * comb(p, p - i - shift)
     return entries
 
 

@@ -32,8 +32,9 @@ the square-ideal family and transitivity, runs the simplex only for the
 generators of the larger ideal that the smaller one does not already
 contain, since an ideal lies in its own integral closure.
 
-All randomness is derived from a per-case string seed, so a fixed seed
-gives a bit-identical report; `_randint` draws exactly what
+All randomness is derived from a per-case string seed.  `_cases` is the
+one place that derives case c's random stream from (seed, tag, c), so a
+fixed seed gives a bit-identical report; `_randint` draws exactly what
 `Random.randint` draws and leaves the same generator state.  Check
 details carry case counts and parameter ranges, never timings; timings
 live on the report object for the table rendering only.
@@ -66,8 +67,6 @@ SWEEP_PRIMES = (3, 5, 7, 11)
 
 
 def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
-    checks: list[Check] = []
-
     # Polar multiplicities m^(q-i) from the incidence systems, each evaluated
     # once; the Euler obstructions need p <= 8 whatever pmax is.  p = 1 has no
     # incidence system: the locus is the origin of C, stated table {0: 1}.
@@ -91,14 +90,6 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
             closed = table[params.q - i]
             if engine != closed:
                 mismatches.append((p, i, engine, closed))
-    checks.append(
-        Check.of(
-            "le-closed-form-vs-chow",
-            not mismatches,
-            f"{cases} cases, 2 <= p <= {pmax}",
-            f"mismatches (p, i, engine, closed): {mismatches}",
-        )
-    )
 
     halving_bad: list[tuple[int, int]] = []
     for p in range(2, pmax + 1):
@@ -106,14 +97,6 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         for d in range(p * (p + 1) // 2):
             if closed.get(d) != polar_chow[p].get(d, 0):
                 halving_bad.append((p, d))
-    checks.append(
-        Check.of(
-            "polar-equals-half-le",
-            not halving_bad,
-            f"all dimensions, 2 <= p <= {pmax}",
-            f"failing (p, dimension) pairs: {halving_bad}",
-        )
-    )
 
     massey_bad: list[tuple[int, int, int]] = []
     massey_cases = 0
@@ -124,14 +107,6 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
                 massey_cases += 1
                 if not core.verify_massey_identity(core.DqpParams(n=n, q=q, p=p)):
                     massey_bad.append((n, q, p))
-    checks.append(
-        Check.of(
-            "massey-alternating-sum",
-            not massey_bad,
-            f"{massey_cases} parameter triples, p <= {pmax}",
-            f"failing (n, q, p) triples: {massey_bad}",
-        )
-    )
 
     # Lê–Teissier: the Euler obstruction is the alternating sum of the polar
     # multiplicities, signed so the top dimension p(p+1)/2 - 1 counts +.
@@ -140,14 +115,6 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
         for p, table in polar_chow.items()
     }
     parity_bad = [p for p in range(1, 9) if core.euler_obstruction_sigma1(p) != eu[p]]
-    checks.append(
-        Check.of(
-            "euler-obstruction-parity",
-            not parity_bad,
-            "p = 1..8",
-            f"failing p: {parity_bad}",
-        )
-    )
 
     hyper_bad: list[tuple[int, int, int]] = []
     hyper_cases = 0
@@ -159,25 +126,57 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
             fixed_cycles = 1 + (-1) ** delta + (-1) ** (delta - 1) * eu[p]
             if core.euler_obstruction_hypersurface(params) != fixed_cycles:
                 hyper_bad.append((params.n, q, p))
-    checks.append(
+
+    det_bad = [p for p in range(1, pmax + 1) if le_engine.det_multiplicity(p) != p]
+    return [
+        Check.of(
+            "le-closed-form-vs-chow",
+            not mismatches,
+            f"{cases} cases, 2 <= p <= {pmax}",
+            f"mismatches (p, i, engine, closed): {mismatches}",
+        ),
+        Check.of(
+            "polar-equals-half-le",
+            not halving_bad,
+            f"all dimensions, 2 <= p <= {pmax}",
+            f"failing (p, dimension) pairs: {halving_bad}",
+        ),
+        Check.of(
+            "massey-alternating-sum",
+            not massey_bad,
+            f"{massey_cases} parameter triples, p <= {pmax}",
+            f"failing (n, q, p) triples: {massey_bad}",
+        ),
+        Check.of(
+            "euler-obstruction-parity",
+            not parity_bad,
+            "p = 1..8",
+            f"failing p: {parity_bad}",
+        ),
         Check.of(
             "euler-obstruction-hypersurface",
             not hyper_bad,
             f"{hyper_cases} cases, 2 <= p <= {pmax}",
             f"failing (n, q, p): {hyper_bad}",
-        )
-    )
-
-    det_bad = [p for p in range(1, pmax + 1) if le_engine.det_multiplicity(p) != p]
-    checks.append(
+        ),
         Check.of(
             "det-multiplicity",
             not det_bad,
             f"p = 1..{pmax}",
             f"failing p: {det_bad}",
-        )
-    )
-    return checks
+        ),
+    ]
+
+
+def _cases(seed: int | str, tag: str, count: int):
+    """Case c = 0..count-1 of a seeded check: (c, its random stream, its key).
+
+    The key f"{seed}:{tag}:{c}" seeds the stream, so a fixed seed redraws
+    every case of every check; no other code derives a stream.
+    """
+    for c in range(count):
+        key = f"{seed}:{tag}:{c}"
+        yield c, random.Random(key), key
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -212,76 +211,33 @@ def _random_system(rng: random.Random, max_total: int = 10) -> chow.BidegreeSyst
 
 
 def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
-    checks: list[Check] = []
+    # Looked up per call, so a patched or traced route is the one checked.
+    ring = chow.intersection_number_ring
+    fulton = chow.intersection_number_fulton
 
-    dual_bad: list[int] = []
-    for c in range(cases):
-        rng = random.Random(f"{seed}:chow-dual:{c}")
+    def disagrees(rng: random.Random) -> bool:
         system = _random_system(rng)
-        if chow.intersection_number_ring(system) != chow.intersection_number_fulton(
-            system
-        ):
-            dual_bad.append(c)
-    checks.append(
-        Check.of(
-            "ring-vs-subset-sum",
-            not dual_bad,
-            f"{cases} seeded systems, class count <= 10, entries <= 3",
-            f"disagreeing case ids: {dual_bad}",
-        )
-    )
+        return ring(system) != fulton(system)
 
-    perm_bad: list[int] = []
-    for c in range(cases // 4):
-        rng = random.Random(f"{seed}:chow-perm:{c}")
+    def reordering_moves(rng: random.Random) -> bool:
         system = _random_system(rng)
         shuffled = list(system.classes)
         rng.shuffle(shuffled)
-        reordered = chow.BidegreeSystem(
-            ambient_n=system.ambient_n,
-            ambient_m=system.ambient_m,
-            classes=tuple(shuffled),
-        )
-        if chow.intersection_number_ring(system) != chow.intersection_number_ring(
-            reordered
-        ):
-            perm_bad.append(c)
-    checks.append(
-        Check.of(
-            "permutation-invariance",
-            not perm_bad,
-            f"{cases // 4} seeded reorderings",
-            f"disagreeing case ids: {perm_bad}",
-        )
-    )
+        n, m = system.ambient_n, system.ambient_m
+        return ring(system) != ring(chow.BidegreeSystem(n, m, tuple(shuffled)))
 
-    linear_bad: list[int] = []
-    for c in range(cases // 4):
-        rng = random.Random(f"{seed}:chow-linear:{c}")
+    def split_breaks(rng: random.Random) -> bool:
         system = _random_system(rng)
         a = _randint(rng, 1, 3)
         b = _randint(rng, 1, 3)
         n, m, rest = system.ambient_n, system.ambient_m, system.classes[1:]
-        whole = chow.BidegreeSystem(n, m, ((a, b),) + rest)
-        h_part = chow.BidegreeSystem(n, m, ((a, 0),) + rest)
-        k_part = chow.BidegreeSystem(n, m, ((0, b),) + rest)
-        total = chow.intersection_number_ring(h_part) + chow.intersection_number_ring(
-            k_part
-        )
-        if total != chow.intersection_number_ring(whole):
-            linear_bad.append(c)
-    checks.append(
-        Check.of(
-            "multilinearity",
-            not linear_bad,
-            f"{cases // 4} seeded split-and-sum cases",
-            f"disagreeing case ids: {linear_bad}",
-        )
-    )
 
-    vanish_bad: list[int] = []
-    for c in range(cases // 4):
-        rng = random.Random(f"{seed}:chow-vanish:{c}")
+        def number(first: tuple[int, int]) -> int:
+            return ring(chow.BidegreeSystem(n, m, (first,) + rest))
+
+        return number((a, 0)) + number((0, b)) != number((a, b))
+
+    def survives(rng: random.Random) -> bool:
         total = _randint(rng, 3, 10)
         ambient_n = _randint(rng, 1, total - 1)
         ambient_m = total - ambient_n
@@ -292,23 +248,46 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
             if a == 0 and b == 0:
                 a = 1
             classes.append((a, b))
-        system = chow.BidegreeSystem(
-            ambient_n=ambient_n, ambient_m=ambient_m, classes=tuple(classes)
-        )
-        if (
-            chow.intersection_number_ring(system) != 0
-            or chow.intersection_number_fulton(system) != 0
-        ):
-            vanish_bad.append(c)
-    checks.append(
+        system = chow.BidegreeSystem(ambient_n, ambient_m, tuple(classes))
+        return ring(system) != 0 or fulton(system) != 0
+
+    quarter = cases // 4
+    dual_bad = [c for c, rng, _ in _cases(seed, "chow-dual", cases) if disagrees(rng)]
+    perm_bad = [
+        c for c, rng, _ in _cases(seed, "chow-perm", quarter) if reordering_moves(rng)
+    ]
+    linear_bad = [
+        c for c, rng, _ in _cases(seed, "chow-linear", quarter) if split_breaks(rng)
+    ]
+    vanish_bad = [
+        c for c, rng, _ in _cases(seed, "chow-vanish", quarter) if survives(rng)
+    ]
+    return [
+        Check.of(
+            "ring-vs-subset-sum",
+            not dual_bad,
+            f"{cases} seeded systems, class count <= 10, entries <= 3",
+            f"disagreeing case ids: {dual_bad}",
+        ),
+        Check.of(
+            "permutation-invariance",
+            not perm_bad,
+            f"{quarter} seeded reorderings",
+            f"disagreeing case ids: {perm_bad}",
+        ),
+        Check.of(
+            "multilinearity",
+            not linear_bad,
+            f"{quarter} seeded split-and-sum cases",
+            f"disagreeing case ids: {linear_bad}",
+        ),
         Check.of(
             "forced-vanishing",
             not vanish_bad,
-            f"{cases // 4} systems with more k-only classes than the k-budget",
+            f"{quarter} systems with more k-only classes than the k-budget",
             f"nonvanishing case ids: {vanish_bad}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _random_monomial(
@@ -336,82 +315,46 @@ def _square_reduction_pair(
     return diagonal(2), integral_closure.power_ideal(diagonal(1), 2)
 
 
-def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
-    checks: list[Check] = []
+def _membership_case(
+    rng: random.Random,
+) -> tuple[integral_closure.MonomialIdeal, tuple[int, ...]]:
+    """A seeded ideal and a monomial in its variables with exponents <= 7."""
+    ideal = _random_ideal(rng)
+    return ideal, _random_monomial(rng, ideal.variable_count, 7)
 
-    family_bad = []
-    for p in range(1, 7):
-        squares, squared = _square_reduction_pair(p)
-        if not integral_closure.is_reduction(squares, squared):
-            family_bad.append(p)
-    checks.append(
-        Check.of(
-            "square-ideal-reduction-family",
-            not family_bad,
-            "p = 1..6",
-            f"failing p: {family_bad}",
-        )
-    )
+
+def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
+    # Looked up per call, so a patched or traced route is the one checked.
+    newton = integral_closure.in_integral_closure_newton
+    is_reduction = integral_closure.is_reduction
+
+    family_bad = [
+        p for p in range(1, 7) if not is_reduction(*_square_reduction_pair(p))
+    ]
 
     dual_bad: list[int] = []
     degree_bad: list[int] = []
-    for c in range(cases):
-        rng = random.Random(f"{seed}:closure-dual:{c}")
-        ideal = _random_ideal(rng)
-        m = _random_monomial(rng, ideal.variable_count, 7)
-        newton = integral_closure.in_integral_closure_newton(ideal, m)
-        facets = integral_closure.in_integral_closure_facets(ideal, m)
-        if newton != facets:
+    for c, rng, _ in _cases(seed, "closure-dual", cases):
+        ideal, m = _membership_case(rng)
+        member = newton(ideal, m)
+        if member != integral_closure.in_integral_closure_facets(ideal, m):
             dual_bad.append(c)
-        if newton and sum(m) < min(map(sum, ideal.generators)):
+        if member and sum(m) < min(map(sum, ideal.generators)):
             degree_bad.append(c)
-    checks.append(
-        Check.of(
-            "newton-vs-facet-enumeration",
-            not dual_bad,
-            f"{cases} seeded ideals in <= 4 variables",
-            f"disagreeing case ids: {dual_bad}",
-        )
-    )
-    checks.append(
-        Check.of(
-            "member-degree-necessity",
-            not degree_bad,
-            f"{cases} seeded membership cases",
-            f"violating case ids: {degree_bad}",
-        )
-    )
 
-    witness_bad: list[int] = []
-    for c in range(cases // 2):
-        rng = random.Random(f"{seed}:closure-wit:{c}")
-        ideal = _random_ideal(rng)
-        m = _random_monomial(rng, ideal.variable_count, 7)
+    def unsound(rng: random.Random, key: str) -> bool:
+        ideal, m = _membership_case(rng)
         # Finite witness lists can only refute, never certify, so only a
         # Newton member can be refuted unsoundly: no battery for the rest.
-        if not integral_closure.in_integral_closure_newton(ideal, m):
-            continue
-        witnesses = integral_closure.default_witnesses(
-            ideal.variable_count, seed=f"{seed}:closure-wit:{c}"
-        )
-        if not integral_closure.in_integral_closure_valuative(ideal, m, witnesses):
-            witness_bad.append(c)
-    checks.append(
-        Check.of(
-            "witness-refutation-soundness",
-            not witness_bad,
-            f"{cases // 2} seeded witness batteries",
-            f"unsound case ids: {witness_bad}",
-        )
-    )
+        if not newton(ideal, m):
+            return False
+        witnesses = integral_closure.default_witnesses(ideal.variable_count, seed=key)
+        return not integral_closure.in_integral_closure_valuative(ideal, m, witnesses)
 
-    mono_bad: list[int] = []
-    for c in range(cases // 2):
-        rng = random.Random(f"{seed}:closure-mono:{c}")
-        ideal = _random_ideal(rng)
-        m = _random_monomial(rng, ideal.variable_count, 7)
-        if not integral_closure.in_integral_closure_newton(ideal, m):
-            continue
+    def shrinks(rng: random.Random) -> bool:
+        ideal, m = _membership_case(rng)
+        if not newton(ideal, m):
+            return False
         extra = tuple(
             _random_monomial(rng, ideal.variable_count, 5)
             for _ in range(_randint(rng, 1, 3))
@@ -419,43 +362,63 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
         larger = integral_closure.MonomialIdeal(
             ideal.variable_count, ideal.generators + extra
         )
-        if not integral_closure.in_integral_closure_newton(larger, m):
-            mono_bad.append(c)
-    checks.append(
-        Check.of(
-            "membership-monotonicity",
-            not mono_bad,
-            f"{cases // 2} seeded enlargements",
-            f"violating case ids: {mono_bad}",
-        )
-    )
+        return not newton(larger, m)
+
+    half = cases // 2
+    witness_bad = [
+        c for c, rng, key in _cases(seed, "closure-wit", half) if unsound(rng, key)
+    ]
+    mono_bad = [c for c, rng, _ in _cases(seed, "closure-mono", half) if shrinks(rng)]
 
     trans_bad: list[tuple[int, int]] = []
     for p in range(2, 5):
         squares, squared = _square_reduction_pair(p)
-        whole = integral_closure.is_reduction(squares, squared)
-        for c in range(5):
-            rng = random.Random(f"{seed}:closure-trans:{p}:{c}")
-            picked = tuple(
-                g for g in squared.generators if rng.random() < 0.5
-            )
-            middle = integral_closure.MonomialIdeal(
-                p, squares.generators + picked
-            )
-            legs = integral_closure.is_reduction(
-                squares, middle
-            ) and integral_closure.is_reduction(middle, squared)
+        whole = is_reduction(squares, squared)
+        for c, rng, _ in _cases(seed, f"closure-trans:{p}", 5):
+            picked = tuple(g for g in squared.generators if rng.random() < 0.5)
+            middle = integral_closure.MonomialIdeal(p, squares.generators + picked)
+            legs = is_reduction(squares, middle) and is_reduction(middle, squared)
             if not (legs and whole):
                 trans_bad.append((p, c))
-    checks.append(
+
+    return [
+        Check.of(
+            "square-ideal-reduction-family",
+            not family_bad,
+            "p = 1..6",
+            f"failing p: {family_bad}",
+        ),
+        Check.of(
+            "newton-vs-facet-enumeration",
+            not dual_bad,
+            f"{cases} seeded ideals in <= 4 variables",
+            f"disagreeing case ids: {dual_bad}",
+        ),
+        Check.of(
+            "member-degree-necessity",
+            not degree_bad,
+            f"{cases} seeded membership cases",
+            f"violating case ids: {degree_bad}",
+        ),
+        Check.of(
+            "witness-refutation-soundness",
+            not witness_bad,
+            f"{half} seeded witness batteries",
+            f"unsound case ids: {witness_bad}",
+        ),
+        Check.of(
+            "membership-monotonicity",
+            not mono_bad,
+            f"{half} seeded enlargements",
+            f"violating case ids: {mono_bad}",
+        ),
         Check.of(
             "reduction-transitivity",
             not trans_bad,
             "15 seeded chains through intermediate ideals, p = 2..4",
             f"failing (p, case): {trans_bad}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _sweep_shapes(sweep_limit: int):
@@ -472,11 +435,7 @@ def _sweep_shapes(sweep_limit: int):
                 yield base, prime, range(q1)
 
 
-def ffcount_checks(
-    seed: int | str = 0, sweep_limit: int = DEFAULT_SWEEP_LIMIT
-) -> list[Check]:
-    checks: list[Check] = []
-
+def ffcount_checks(sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> list[Check]:
     sweep_bad: list[tuple[int, int, int]] = []
     sweep_cases = 0
     for base, prime, q1s in _sweep_shapes(sweep_limit):
@@ -488,14 +447,6 @@ def ffcount_checks(
             spec = ffcount.NormalFormSpec(p=base.p, q1=q1)
             if observed * prime**q1 != ffcount.predicted_count(spec, prime):
                 sweep_bad.append((spec.p, q1, prime))
-    checks.append(
-        Check.of(
-            "observed-equals-predicted",
-            not sweep_bad,
-            f"{sweep_cases} shape/prime pairs with prime^n <= {sweep_limit}",
-            f"disagreeing (p, q1, prime): {sweep_bad}",
-        )
-    )
 
     target_bad: list[tuple[int, int, int]] = []
     target_cases = 0
@@ -511,14 +462,6 @@ def ffcount_checks(
                 if observed != reference:
                     target_bad.append((p, q1, prime))
                     break
-    checks.append(
-        Check.of(
-            "target-independence",
-            not target_bad,
-            f"{target_cases} nonzero targets across three shapes, primes 3..7",
-            f"dependent (p, q1, prime): {target_bad}",
-        )
-    )
 
     poly_bad: list[tuple[int, int]] = []
     for p in (1, 2):
@@ -541,15 +484,6 @@ def ffcount_checks(
             )
             if not euler_ok:
                 poly_bad.append((p, q1))
-    checks.append(
-        Check.of(
-            "counting-polynomial-euler",
-            not poly_bad,
-            "interpolation matches the closed form and N(1) = 0 = 1 + reduced "
-            "Euler characteristic for p <= 2, q1 <= 1",
-            f"failing (p, q1): {poly_bad}",
-        )
-    )
 
     spec = ffcount.NormalFormSpec(p=2, q1=0)
     prime = 5
@@ -565,15 +499,34 @@ def ffcount_checks(
         )
         if parts != whole:
             partition_bad.append(chunks)
-    checks.append(
+
+    return [
+        Check.of(
+            "observed-equals-predicted",
+            not sweep_bad,
+            f"{sweep_cases} shape/prime pairs with prime^n <= {sweep_limit}",
+            f"disagreeing (p, q1, prime): {sweep_bad}",
+        ),
+        Check.of(
+            "target-independence",
+            not target_bad,
+            f"{target_cases} nonzero targets across three shapes, primes 3..7",
+            f"dependent (p, q1, prime): {target_bad}",
+        ),
+        Check.of(
+            "counting-polynomial-euler",
+            not poly_bad,
+            "interpolation matches the closed form and N(1) = 0 = 1 + reduced "
+            "Euler characteristic for p <= 2, q1 <= 1",
+            f"failing (p, q1): {poly_bad}",
+        ),
         Check.of(
             "partition-independence",
             not partition_bad,
             "slice sums identical for 1, 2, 8 chunks (p=2 over F_5)",
             f"diverging chunk counts: {partition_bad}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def run_verify(
@@ -593,7 +546,7 @@ def run_verify(
         ("core", lambda: core_checks(pmax)),
         ("chow", lambda: chow_checks(seed)),
         ("closure", lambda: closure_checks(seed)),
-        ("ffcount", lambda: ffcount_checks(seed, sweep_limit)),
+        ("ffcount", lambda: ffcount_checks(sweep_limit)),
     )
     checks: list[Check] = []
     elapsed: dict[str, float] = {}

@@ -734,3 +734,25 @@ def test_table_format_mentions_elapsed(capsys):
     assert code == 0
     assert "elapsed:" in out
     assert "le_numbers:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--n", "1", "--q", "1", "--p", "9" * 5000],
+        ["verify", "--pmax", "9" * 5000],
+        ["count", "--p", "1", "--prime", "9" * 5000],
+    ],
+    ids=["invariants-p", "verify-pmax", "count-prime"],
+)
+def test_a_flag_past_the_digit_limit_exits_2_in_a_short_message(capsys, argv):
+    'argparse prints a failed conversion whole, so no int flag leaves it a ValueError'
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    # argparse's usage lines come first; the error is the last line
+    assert "has too many digits" in err.splitlines()[-1]
+    assert len(err.splitlines()[-1]) < 200
+    assert "9" * 50 not in err

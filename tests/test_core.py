@@ -144,6 +144,14 @@ def test_polar_is_half_le_for_minimal_germ():
             assert 2 * value == le[d]
 
 
+def test_polar_table_budget():
+    'p(p+1)/2 entries: p = 446 has 99,681 and is built, p = 500 has 125,250'
+    assert len(polar_multiplicities_sigma1(446)) == 99681
+    with pytest.raises(BudgetError) as info:
+        polar_multiplicities_sigma1(500)
+    assert info.value.required == 125250
+
+
 def test_polar_rejects_bad_p():
     with pytest.raises(ValidationError):
         polar_multiplicities_sigma1(0)
