@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -734,6 +735,40 @@ def test_table_format_mentions_elapsed(capsys):
     assert code == 0
     assert "elapsed:" in out
     assert "le_numbers:" in out
+
+
+def _elapsed_lines(out):
+    lines = out.splitlines()
+    return lines[lines.index("elapsed:") + 1 :]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--n", "5", "--q", "3", "--p", "2"],
+        ["lecycles", "--p", "3"],
+        ["chow", "--n", "1", "--m", "1", "--classes", "1,1;1,1"],
+        ["closure", "--ideal", "y1^2, y2^2", "--monomial", "y1*y2"],
+        ["count", "--p", "2", "--prime", "5", "--jobs", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_table_elapsed_is_one_line_named_after_the_subcommand(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (line,) = _elapsed_lines(out)
+    assert re.fullmatch(rf"  {argv[0]}: \d+\.\d{{3}}s", line)
+
+
+@pytest.mark.parametrize("scope", ["all", "core", "chow", "closure", "ffcount"])
+def test_table_elapsed_of_verify_is_one_line_per_suite(capsys, scope):
+    code, out, _ = run(capsys, "verify", "--scope", scope, "--pmax", "3")
+    assert code == 0
+    suites = ["core", "chow", "closure", "ffcount"] if scope == "all" else [scope]
+    lines = _elapsed_lines(out)
+    assert len(lines) == len(suites)
+    for suite, line in zip(suites, lines):
+        assert re.fullmatch(rf"  {suite}: \d+\.\d{{3}}s", line)
 
 
 @pytest.mark.parametrize(

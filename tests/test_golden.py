@@ -1,9 +1,10 @@
-"""Byte-exact golden `--format json` outputs for every README CLI example.
+"""Byte-exact golden outputs for every README CLI example.
 
-Each file under tests/golden/ was written by the command named beside it
-(with `--format json --out tests/golden/<name>.json`).  A golden file
-changes only together with an intended output change that CHANGES.md
-explains.
+Each `.json` file under tests/golden/ was written by the command named
+beside it (with `--format json --out tests/golden/<name>.json`), and each
+`.csv` file by the command of the same name in CSV_CASES (with
+`--format csv --out tests/golden/<name>.csv`).  A golden file changes
+only together with an intended output change that CHANGES.md explains.
 """
 
 from pathlib import Path
@@ -48,3 +49,23 @@ def test_golden_json(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
+
+
+# One command per subcommand, so every CSV row shape is pinned.
+CSV_CASES = [
+    "invariants",
+    "lecycles-p3",
+    "chow-both",
+    "closure-membership",
+    "count-p2",
+    "verify-core-pmax8",
+]
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_golden_csv(name, capsys, monkeypatch):
+    monkeypatch.delenv("DQP_BUDGET", raising=False)
+    code = main(CASES[name] + ["--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.csv").read_bytes().decode("utf-8")
