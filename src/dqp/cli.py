@@ -58,7 +58,6 @@ def _budget_from_env(default: int) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> Report:
-    started = time.perf_counter()
     params = core.validate_params(args.n, args.q, args.p)
     results = {
         "params": {
@@ -102,12 +101,10 @@ def cmd_invariants(args: argparse.Namespace) -> Report:
         inputs={"n": args.n, "q": args.q, "p": args.p},
         results=results,
         checks=checks,
-        elapsed={"invariants": time.perf_counter() - started},
     )
 
 
 def cmd_lecycles(args: argparse.Namespace) -> Report:
-    started = time.perf_counter()
     p = args.p
     if args.i is not None:
         indices = [args.i]
@@ -189,7 +186,6 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
         inputs={"p": p, "i": args.i},
         results={"systems": rows},
         checks=checks,
-        elapsed={"lecycles": time.perf_counter() - started},
     )
 
 
@@ -211,7 +207,6 @@ def _parse_classes(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_chow(args: argparse.Namespace) -> Report:
-    started = time.perf_counter()
     system = chow.BidegreeSystem(
         ambient_n=args.n, ambient_m=args.m, classes=_parse_classes(args.classes)
     )
@@ -253,7 +248,6 @@ def cmd_chow(args: argparse.Namespace) -> Report:
         },
         results=results,
         checks=checks,
-        elapsed={"chow": time.perf_counter() - started},
     )
 
 
@@ -314,7 +308,6 @@ def _monomial_string(pairs, prefix: str) -> str:
 
 
 def cmd_closure(args: argparse.Namespace) -> Report:
-    started = time.perf_counter()
     prefixes: set[str] = set()
     ideal_exponents = _parse_ideal_text(args.ideal, prefixes)
     monomial_exponents = None
@@ -401,7 +394,6 @@ def cmd_closure(args: argparse.Namespace) -> Report:
         },
         results=results,
         checks=checks,
-        elapsed={"closure": time.perf_counter() - started},
     )
 
 
@@ -414,13 +406,13 @@ def cmd_count(args: argparse.Namespace) -> Report:
     report = ffcount.count_points(
         spec, args.prime, target=args.target, budget=budget, jobs=jobs
     )
+    predicted = ffcount.predicted_count(spec, args.prime)
     checks = [
         Check.of(
             "observed-equals-predicted",
-            report.agree,
+            report.observed_count == predicted,
             "exhaustive count matches the fibration prediction",
-            f"observed {report.observed_count} != predicted "
-            f"{report.predicted_count}",
+            f"observed {report.observed_count} != predicted {predicted}",
         )
     ]
     return Report(
@@ -437,11 +429,10 @@ def cmd_count(args: argparse.Namespace) -> Report:
             "prime": report.prime,
             "target": report.target,
             "observed": report.observed_count,
-            "predicted": report.predicted_count,
+            "predicted": predicted,
             "enumerated": report.enumerated,
         },
         checks=checks,
-        elapsed={"count": report.elapsed},
     )
 
 
@@ -569,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         report = args.handler(args)
     except ValidationError as exc:
@@ -580,6 +572,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    # verify times each suite; every other command is timed here, as one section.
+    report.elapsed = report.elapsed or {args.subcommand: time.perf_counter() - started}
     text = getattr(report, f"render_{args.format}")()
     if args.out:
         try:

@@ -9,10 +9,11 @@ F_prime that reasoning predicts exactly
     (prime^p - 1) * prime^(n - p - 1)
 
 points, a polynomial in the field size whose value at t = 1 is 0, the
-Euler characteristic of an odd sphere.  This module checks the
-prediction by exhaustive enumeration, and recovers the counting
-polynomial by exact integer (Newton) interpolation of observed counts
-rather than of the closed form.
+Euler characteristic of an odd sphere.  This module only counts: the
+exhaustive enumeration (count_points) and the counting polynomial,
+recovered by exact integer (Newton) interpolation of observed counts,
+never read that closed form.  The callers (dqp.verify, the CLI's count
+command) compare a count with predicted_count themselves.
 
 Only the square-free normal form (no y^2 suspension terms, k = 0) is
 counted: suspension terms would drag quadratic character sums into the
@@ -37,7 +38,6 @@ import itertools
 import operator
 import os
 import threading
-import time
 from collections import Counter
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
@@ -93,18 +93,12 @@ class NormalFormSpec:
 
 @dataclass(frozen=True)
 class PointCountReport:
-    """One exhaustive count against its prediction."""
+    """The count of {f = target} over F_prime^n, and how many points were enumerated."""
 
     prime: int
     target: int
     observed_count: int
-    predicted_count: int
     enumerated: int
-    elapsed: float
-
-    @property
-    def agree(self) -> bool:
-        return self.observed_count == self.predicted_count
 
 
 def _require_odd_modulus(prime: int) -> None:
@@ -324,9 +318,10 @@ def count_points(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> PointCountReport:
-    """Exhaustive count of {f = target} in F_prime^n, compared to the prediction.
+    """Exhaustive count of {f = target} in F_prime^n.
 
-    The budget is checked before primality, so an oversized modulus is
+    The report holds the count only; callers compare it with
+    predicted_count.  The budget is checked before primality, so an oversized modulus is
     refused before any primality test.  With jobs > 1 the y-range is split
     into contiguous slices counted on worker threads, at most one per
     y-vector and per core; integer addition of disjoint slice counts
@@ -349,7 +344,6 @@ def count_points(
             required=enumerated,
         )
     _require_odd_prime(prime)
-    started = time.perf_counter()
     total_y = prime**spec.p
     workers = min(jobs, total_y, os.cpu_count() or 1)
     if workers == 1:
@@ -376,15 +370,11 @@ def count_points(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() raises a failed slice's error before sum() meets a None.
             base = sum(list(pool.map(count_slice, zip(edges, edges[1:]))))
-    observed = base * prime**spec.q1
-    elapsed = time.perf_counter() - started
     return PointCountReport(
         prime=prime,
         target=target % prime,
-        observed_count=observed,
-        predicted_count=predicted_count(spec, prime),
+        observed_count=base * prime**spec.q1,
         enumerated=enumerated,
-        elapsed=elapsed,
     )
 
 

@@ -30,6 +30,7 @@ from dqp.ffcount import (
     count_points,
     counting_polynomial,
     evaluate_polynomial,
+    predicted_count,
 )
 from dqp.integral_closure import (
     MonomialIdeal,
@@ -161,7 +162,7 @@ def test_criterion_8_finite_field_counts():
     for prime in (3, 5, 7, 11):
         report = count_points(NormalFormSpec(p=1), prime)
         assert report.observed_count == prime - 1
-        assert report.agree
+        assert report.observed_count == predicted_count(NormalFormSpec(p=1), prime)
     assert count_points(NormalFormSpec(p=2), 3).observed_count == 72
     assert count_points(NormalFormSpec(p=2), 5).observed_count == 600
     assert count_points(NormalFormSpec(p=2, q1=1), 3).observed_count == 216

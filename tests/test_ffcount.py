@@ -94,7 +94,7 @@ def test_count_p1_all_small_primes():
     for prime in (3, 5, 7, 11):
         report = count_points(NormalFormSpec(p=1), prime)
         assert report.observed_count == prime - 1
-        assert report.agree
+        assert report.observed_count == predicted_count(NormalFormSpec(p=1), prime)
 
 
 def test_count_p2_values():
@@ -108,7 +108,7 @@ def test_count_report_fields():
     assert report.observed_count == 72
     assert report.enumerated == 3**5
     assert report.target == 2
-    assert report.agree
+    assert report.observed_count == predicted_count(NormalFormSpec(p=2), 3)
 
 
 def test_target_independence_exhaustive():
