@@ -114,29 +114,34 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318665857834031151167461
 
 
+def _is_odd_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES: exact for odd n with 3 <= n < _MR_EXACT_BELOW."""
+    if n in _MR_BASES:
+        return True
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MR_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_odd_prime(prime: int) -> None:
     _require_odd_modulus(prime)
     if prime >= _MR_EXACT_BELOW:
         raise BudgetError(
             f"primality of {shown(prime)} is only decided below {_MR_EXACT_BELOW}"
         )
-    if prime in _MR_BASES:
-        return
-    odd, twos = prime - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in _MR_BASES:
-        x = pow(base, odd, prime)
-        if x in (1, prime - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % prime
-            if x == prime - 1:
-                break
-        else:
-            raise ValidationError(
-                f"the modulus must be an odd prime (got {shown(prime)})"
-            )
+    if not _is_odd_prime(prime):
+        raise ValidationError(f"the modulus must be an odd prime (got {shown(prime)})")
 
 
 def eval_normal_form(
@@ -278,7 +283,9 @@ def count_nonzero_y_slice(
     prime^q1 applied by the caller.  Disjoint slices add up to the full
     count, whatever the partition.  count_points passes `shared` to the
     slices it runs at once, so that they solve each form once between
-    them.
+    them.  The slice's y-vectors times its p(p+1)/2 index pairs must stay
+    within DEFAULT_BUDGET, checked before prime^p is computed; under its
+    default budget, count_points never asks for more.
     """
     require_int("target", target)
     require_int("start", start)
@@ -287,6 +294,13 @@ def count_nonzero_y_slice(
     if not 0 < target % prime:
         raise ValidationError(
             f"target must be nonzero mod {shown(prime)} (got {shown(target)})"
+        )
+    products = max(stop - start, 1) * spec.matrix_variable_count
+    if products > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"slice [{shown(start)}, {shown(stop)}) needs {shown(products)} index-pair "
+            f"products, more than the budget of {DEFAULT_BUDGET}",
+            required=products,
         )
     if not 0 <= start <= stop <= prime**spec.p:
         raise ValidationError(
@@ -379,15 +393,7 @@ def count_points(
 
 
 def _first_odd_primes(count: int) -> list[int]:
-    primes: list[int] = []
-    candidate = 3
-    while len(primes) < count:
-        if all(candidate % p for p in primes) and all(
-            candidate % d for d in range(3, int(candidate**0.5) + 1, 2)
-        ):
-            primes.append(candidate)
-        candidate += 2
-    return primes
+    return list(itertools.islice(filter(_is_odd_prime, itertools.count(3, 2)), count))
 
 
 def counting_polynomial(spec: NormalFormSpec) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -301,6 +302,35 @@ def test_slice_validation():
         count_nonzero_y_slice(spec, 3, 1, 2, 1)
     with pytest.raises(ValidationError):
         count_nonzero_y_slice(spec, 3, 1, 0, 4)
+
+
+def test_slice_work_is_bounded_by_the_default_budget(monkeypatch):
+    'y-vectors times index pairs: 25 x 3 passes the real budget, not a budget of 10'
+    assert count_nonzero_y_slice(NormalFormSpec(2), 5, 1, 0, 25) == 600
+    monkeypatch.setattr(ffcount, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetError) as info:
+        count_nonzero_y_slice(NormalFormSpec(2), 5, 1, 0, 25)
+    assert info.value.required == 75
+
+
+@pytest.mark.parametrize(
+    "p, stop",
+    [(10**5, 5), (10**6, 0)],
+    ids=["five-y-vectors", "empty-slice"],
+)
+def test_slice_of_a_huge_p_is_refused_before_any_work(p, stop):
+    'neither the index pairs nor prime^p are built: each would take minutes or memory'
+    started = time.perf_counter()
+    with pytest.raises(BudgetError):
+        count_nonzero_y_slice(NormalFormSpec(p), 3, 1, 0, stop)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_first_odd_primes_are_the_odd_primes_in_order():
+    odd_primes = [
+        n for n in range(3, 200, 2) if all(n % d for d in range(3, int(n**0.5) + 1, 2))
+    ]
+    assert ffcount._first_odd_primes(40) == odd_primes[:40]
 
 
 def test_counting_polynomial_values():
