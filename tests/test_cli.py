@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from dqp import cli, integral_closure
+from dqp import cli, ffcount, integral_closure
 from dqp.cli import main
 
 
@@ -574,6 +575,28 @@ def test_count_command(capsys):
     assert doc["results"]["observed"] == 72
     assert doc["results"]["predicted"] == 72
     assert doc["results"]["enumerated"] == 243
+
+
+def test_count_check_fails_on_a_wrong_count(capsys, monkeypatch):
+    'the command compares the count with predicted_count itself, so a bad count fails'
+    original = ffcount.count_points
+
+    def bumped(*args, **kwargs):
+        report = original(*args, **kwargs)
+        return dataclasses.replace(report, observed_count=report.observed_count + 1)
+
+    monkeypatch.setattr(ffcount, "count_points", bumped)
+    code, doc, _, err = run_json(capsys, "count", "--p", "2", "--prime", "5")
+    assert code == 1
+    assert "one or more checks failed" in err
+    assert (doc["results"]["observed"], doc["results"]["predicted"]) == (601, 600)
+    assert doc["checks"] == [
+        {
+            "name": "observed-equals-predicted",
+            "status": "fail",
+            "detail": "observed 601 != predicted 600",
+        }
+    ]
 
 
 def test_count_budget_flag(capsys):
