@@ -283,9 +283,9 @@ def count_nonzero_y_slice(
     prime^q1 applied by the caller.  Disjoint slices add up to the full
     count, whatever the partition.  count_points passes `shared` to the
     slices it runs at once, so that they solve each form once between
-    them.  The slice's y-vectors times its p(p+1)/2 index pairs must stay
-    within DEFAULT_BUDGET, checked before prime^p is computed; under its
-    default budget, count_points never asks for more.
+    them.  A slice whose y-vectors (at least one) times its p(p+1)/2
+    index pairs pass DEFAULT_BUDGET is refused before the pairs are
+    built; under its default budget, count_points never asks for one.
     """
     require_int("target", target)
     require_int("start", start)
@@ -295,17 +295,20 @@ def count_nonzero_y_slice(
         raise ValidationError(
             f"target must be nonzero mod {shown(prime)} (got {shown(target)})"
         )
-    products = max(stop - start, 1) * spec.matrix_variable_count
+    pair_count = spec.matrix_variable_count
+    # Past the budget in pairs alone the bound below refuses any range, so
+    # prime^p is formed only for p(p+1)/2 <= DEFAULT_BUDGET.
+    if pair_count <= DEFAULT_BUDGET and not 0 <= start <= stop <= prime**spec.p:
+        raise ValidationError(
+            f"slice [{shown(start)}, {shown(stop)}) out of range for "
+            f"{shown(prime)}^{shown(spec.p)} y-vectors"
+        )
+    products = max(stop - start, 1) * pair_count
     if products > DEFAULT_BUDGET:
         raise BudgetError(
             f"slice [{shown(start)}, {shown(stop)}) needs {shown(products)} index-pair "
             f"products, more than the budget of {DEFAULT_BUDGET}",
             required=products,
-        )
-    if not 0 <= start <= stop <= prime**spec.p:
-        raise ValidationError(
-            f"slice [{shown(start)}, {shown(stop)}) out of range for "
-            f"{shown(prime)}^{shown(spec.p)} y-vectors"
         )
     pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
