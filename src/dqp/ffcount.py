@@ -9,11 +9,11 @@ F_prime that reasoning predicts exactly
     (prime^p - 1) * prime^(n - p - 1)
 
 points, a polynomial in the field size whose value at t = 1 is 0, the
-Euler characteristic of an odd sphere.  This module only counts: the
-exhaustive enumeration (count_points) and the counting polynomial,
-recovered by exact integer (Newton) interpolation of observed counts,
-never read that closed form.  The callers (dqp.verify, the CLI's count
-command) compare a count with predicted_count themselves.
+Euler characteristic of an odd sphere.  This module counts by
+exhaustive enumeration (count_points) and recovers the counting
+polynomial by exact integer (Newton) interpolation of observed counts;
+neither route reads that closed form.  predicted_count evaluates it,
+and the callers (dqp.verify, the CLI's count command) compare.
 
 Only the square-free normal form (no y^2 suspension terms, k = 0) is
 counted: suspension terms would drag quadratic character sums into the
