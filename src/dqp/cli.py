@@ -9,16 +9,13 @@ number), `chow` (raw bidegree intersection numbers), `closure`
 Exit codes: 0 when the command and every attached check passed, 1 when
 an internal cross-check failed, 2 for invalid input or an --out that
 cannot be written, 3 when a computation refuses its size budget.
-Reports go to stdout (or --out), diagnostics to stderr.  DQP_BUDGET, a
-positive integer, overrides the default point-count budget and the
-verify sweep limit.
+Reports go to stdout (or --out), diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 import time
@@ -50,11 +47,6 @@ def _int(text: str) -> int:
         return _int_text("value", text)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _budget_from_env(default: int) -> int:
-    raw = os.environ.get("DQP_BUDGET")
-    return default if raw is None else _int_text("DQP_BUDGET", raw)
 
 
 def cmd_invariants(args: argparse.Namespace) -> Report:
@@ -399,9 +391,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
 
 def cmd_count(args: argparse.Namespace) -> Report:
     spec = ffcount.NormalFormSpec(p=args.p, q1=args.q1)
-    budget = args.budget if args.budget is not None else _budget_from_env(
-        ffcount.DEFAULT_BUDGET
-    )
+    budget = ffcount.DEFAULT_BUDGET if args.budget is None else args.budget
     jobs = 1 if args.jobs is None else args.jobs
     report = ffcount.count_points(
         spec, args.prime, target=args.target, budget=budget, jobs=jobs
@@ -437,10 +427,7 @@ def cmd_count(args: argparse.Namespace) -> Report:
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:
-    sweep_limit = _budget_from_env(verify.DEFAULT_SWEEP_LIMIT)
-    return verify.run_verify(
-        scope=args.scope, pmax=args.pmax, seed=args.seed, sweep_limit=sweep_limit
-    )
+    return verify.run_verify(args.scope, args.pmax, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int,
         default=None,
-        help="maximum prime^n (default: DQP_BUDGET or 10^8)",
+        help="maximum prime^n (default 10^8)",
     )
     p_count.add_argument(
         "--jobs",

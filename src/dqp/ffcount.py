@@ -211,12 +211,6 @@ def _solve_linear_forms(
         product = distribution * packed
         return (product & low) + (product >> cycle)
 
-    def prefix(key: tuple[int, ...]) -> int:
-        packed = prefixes.get(key)
-        if packed is None:
-            packed = prefixes[key] = convolve(prefix(key[:-1]), key[-1])
-        return packed
-
     solutions = {}
     for form in forms:
         if len(form) == 1:
@@ -224,8 +218,15 @@ def _solve_linear_forms(
                 _coordinate_values(form[0], prime), target
             )
         else:
-            distribution = convolve(prefix(form[:-1]), form[-1])
-            solutions[form] = (distribution >> (width * target)) & digit
+            # A loop: recursion p(p+1)/2 deep passes Python's limit from p = 44.
+            key, missing = form[:-1], []
+            while key not in prefixes:
+                missing.append(key)
+                key = key[:-1]
+            packed = prefixes[key]
+            for key in reversed(missing):
+                packed = prefixes[key] = convolve(packed, key[-1])
+            solutions[form] = (convolve(packed, form[-1]) >> (width * target)) & digit
     return solutions
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "facet_ray_bound",
     "FACET_RAY_LIMIT",
     "NEWTON_CELL_LIMIT",
+    "POWER_SUM_LIMIT",
     "require_newton_tableau",
     "DEFAULT_RANDOM_WITNESSES",
 ]
@@ -63,6 +64,10 @@ FACET_RAY_LIMIT = 19502
 # (n + 1) x (g + 1) tableau the simplex rewrites on every pivot.  The slowest
 # case measured at this limit, 330 generators in 2 variables, takes ~0.02 s.
 NEWTON_CELL_LIMIT = 1000
+
+# Caps comb(g + e - 1, e) * e, the tuples summed for the e-th power of g
+# generators; the slowest admitted, (y1*...*y30)^(5 * 10^5), takes ~0.4 s.
+POWER_SUM_LIMIT = 5 * 10**5
 
 DEFAULT_RANDOM_WITNESSES = 50
 
@@ -112,8 +117,18 @@ class MonomialIdeal:
 
 
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
-    """e-th power: all e-fold generator products, minimalized on construction."""
+    """e-th power: all e-fold generator products, minimalized on construction.
+
+    Refused before any product past POWER_SUM_LIMIT or require_newton_tableau.
+    """
     require_int("e", e, 1)
+    # At least g products: a huge power is refused before comb, which takes seconds.
+    g = len(ideal.generators)
+    count = g if g * e > POWER_SUM_LIMIT else comb(g + e - 1, e)
+    if count * e > POWER_SUM_LIMIT:
+        message = f"power {shown(e)} sums {shown(count * e)} or more exponent tuples"
+        raise BudgetError(f"{message} (limit {POWER_SUM_LIMIT})", required=count * e)
+    require_newton_tableau(ideal.variable_count, count)
     products = (
         tuple(map(sum, zip(*combo)))
         for combo in itertools.combinations_with_replacement(ideal.generators, e)

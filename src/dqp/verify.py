@@ -53,7 +53,7 @@ from .report import DEFAULT_PMAX, SCOPES, Check, Report
 __all__ = [
     "SCOPES",
     "DEFAULT_PMAX",
-    "DEFAULT_SWEEP_LIMIT",
+    "SWEEP_LIMIT",
     "SWEEP_PRIMES",
     "core_checks",
     "chow_checks",
@@ -62,7 +62,7 @@ __all__ = [
     "run_verify",
 ]
 
-DEFAULT_SWEEP_LIMIT = 10**7
+SWEEP_LIMIT = 10**7
 SWEEP_PRIMES = (3, 5, 7, 11)
 
 
@@ -210,7 +210,7 @@ def _random_system(rng: random.Random, max_total: int = 10) -> chow.BidegreeSyst
     )
 
 
-def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
+def chow_checks(seed: int | str = 0) -> list[Check]:
     # Looked up per call, so a patched or traced route is the one checked.
     ring = chow.intersection_number_ring
     fulton = chow.intersection_number_fulton
@@ -251,6 +251,7 @@ def chow_checks(seed: int | str = 0, cases: int = 200) -> list[Check]:
         system = chow.BidegreeSystem(ambient_n, ambient_m, tuple(classes))
         return ring(system) != 0 or fulton(system) != 0
 
+    cases = 200
     quarter = cases // 4
     dual_bad = [c for c, rng, _ in _cases(seed, "chow-dual", cases) if disagrees(rng)]
     perm_bad = [
@@ -296,12 +297,10 @@ def _random_monomial(
     return tuple(_randint(rng, 0, max_expo) for _ in range(variable_count))
 
 
-def _random_ideal(
-    rng: random.Random, max_vars: int = 4, max_expo: int = 5
-) -> integral_closure.MonomialIdeal:
-    nvars = _randint(rng, 1, max_vars)
+def _random_ideal(rng: random.Random) -> integral_closure.MonomialIdeal:
+    nvars = _randint(rng, 1, 4)
     count = _randint(rng, 1, 5)
-    gens = tuple(_random_monomial(rng, nvars, max_expo) for _ in range(count))
+    gens = tuple(_random_monomial(rng, nvars, 5) for _ in range(count))
     return integral_closure.MonomialIdeal(nvars, gens)
 
 
@@ -323,10 +322,11 @@ def _membership_case(
     return ideal, _random_monomial(rng, ideal.variable_count, 7)
 
 
-def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
+def closure_checks(seed: int | str = 0) -> list[Check]:
     # Looked up per call, so a patched or traced route is the one checked.
     newton = integral_closure.in_integral_closure_newton
     is_reduction = integral_closure.is_reduction
+    cases = 100
 
     family_bad = [
         p for p in range(1, 7) if not is_reduction(*_square_reduction_pair(p))
@@ -421,27 +421,27 @@ def closure_checks(seed: int | str = 0, cases: int = 100) -> list[Check]:
     ]
 
 
-def _sweep_shapes(sweep_limit: int):
+def _sweep_shapes():
     """Every (q1 = 0 spec, prime, q1 range) with prime ** n within the enumeration limit."""
     for p in itertools.count(1):
         base = ffcount.NormalFormSpec(p=p, q1=0)
-        if min(prime**base.n for prime in SWEEP_PRIMES) > sweep_limit:
+        if min(prime**base.n for prime in SWEEP_PRIMES) > SWEEP_LIMIT:
             return
         for prime in SWEEP_PRIMES:
             q1 = 0
-            while prime ** (base.n + q1) <= sweep_limit:
+            while prime ** (base.n + q1) <= SWEEP_LIMIT:
                 q1 += 1
             if q1:
                 yield base, prime, range(q1)
 
 
-def ffcount_checks(sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> list[Check]:
+def ffcount_checks() -> list[Check]:
     sweep_bad: list[tuple[int, int, int]] = []
     sweep_cases = 0
-    for base, prime, q1s in _sweep_shapes(sweep_limit):
+    for base, prime, q1s in _sweep_shapes():
         # The q1 unread coordinates multiply the q1 = 0 count by prime^q1,
         # exactly as count_points does, so one count serves every q1.
-        observed = ffcount.count_points(base, prime, budget=sweep_limit).observed_count
+        observed = ffcount.count_points(base, prime).observed_count
         for q1 in q1s:
             sweep_cases += 1
             spec = ffcount.NormalFormSpec(p=base.p, q1=q1)
@@ -504,7 +504,7 @@ def ffcount_checks(sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> list[Check]:
         Check.of(
             "observed-equals-predicted",
             not sweep_bad,
-            f"{sweep_cases} shape/prime pairs with prime^n <= {sweep_limit}",
+            f"{sweep_cases} shape/prime pairs with prime^n <= {SWEEP_LIMIT}",
             f"disagreeing (p, q1, prime): {sweep_bad}",
         ),
         Check.of(
@@ -530,10 +530,7 @@ def ffcount_checks(sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> list[Check]:
 
 
 def run_verify(
-    scope: str = "all",
-    pmax: int = DEFAULT_PMAX,
-    seed: int | str = 0,
-    sweep_limit: int = DEFAULT_SWEEP_LIMIT,
+    scope: str = "all", pmax: int = DEFAULT_PMAX, seed: int | str = 0
 ) -> Report:
     """Run the selected suites and fold their checks into one report."""
     if scope not in SCOPES:
@@ -541,12 +538,11 @@ def run_verify(
             f"scope must be one of {', '.join(SCOPES)} (got {shown(scope)})"
         )
     require_int("pmax", pmax, 2, 8)
-    require_int("sweep_limit", sweep_limit, 1)
     suites = (
         ("core", lambda: core_checks(pmax)),
         ("chow", lambda: chow_checks(seed)),
         ("closure", lambda: closure_checks(seed)),
-        ("ffcount", lambda: ffcount_checks(sweep_limit)),
+        ("ffcount", ffcount_checks),
     )
     checks: list[Check] = []
     elapsed: dict[str, float] = {}
@@ -565,7 +561,7 @@ def run_verify(
             "scope": scope,
             "pmax": pmax,
             "seed": str(seed),
-            "sweep_limit": sweep_limit,
+            "sweep_limit": SWEEP_LIMIT,
         },
         results={
             "suites": ran,

@@ -51,7 +51,6 @@ class Child(NamedTuple):
 def _run_child(argv: tuple[str, ...] | None, statement: str) -> Child:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("DQP_BUDGET", None)
     request = json.dumps([None if argv is None else list(argv), statement])
     done = subprocess.run(
         [sys.executable, "-c", CHILD, request],

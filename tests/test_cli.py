@@ -607,24 +607,29 @@ def test_count_budget_flag(capsys):
     assert "exceeds" in err
 
 
-def test_count_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("DQP_BUDGET", "100")
-    code, _, err = run(capsys, "count", "--p", "2", "--prime", "3")
-    assert code == 3
-    monkeypatch.setenv("DQP_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "count", "--p", "2", "--prime", "3")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--p", "2", "--prime", "3"), ("verify", "--scope", "ffcount")],
+    ids=["count", "verify"],
+)
+def test_budget_environment_variable_is_inert(capsys, monkeypatch, argv):
+    'only --budget sets a budget; a DQP_BUDGET in the environment changes nothing'
+    argv = (*argv, "--format", "json")
+    monkeypatch.delenv("DQP_BUDGET", raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    for value in ("100", "not-a-number"):
+        monkeypatch.setenv("DQP_BUDGET", value)
+        assert run(capsys, *argv) == unset
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
-def test_count_nonpositive_budget_is_invalid(capsys, monkeypatch, budget):
-    'the flag and DQP_BUDGET are both checked by count_points, and exit 2'
+def test_count_nonpositive_budget_is_invalid(capsys, budget):
+    'the flag is checked by count_points, and exits 2'
     code, out, err = run(capsys, "count", "--p", "1", "--prime", "3", "--budget", budget)
     assert code == 2
     assert out == ""
     assert "budget must satisfy budget >= 1" in err
-    monkeypatch.setenv("DQP_BUDGET", budget)
-    assert run(capsys, "count", "--p", "1", "--prime", "3")[0] == 2
 
 
 def test_count_jobs_equivalence(capsys):

@@ -267,9 +267,6 @@ HUGE = 10**5000
             id="power-bool",
         ),
         pytest.param(lambda: default_witnesses(True), id="witnesses-bool"),
-        pytest.param(
-            lambda: run_verify(scope="core", sweep_limit=True), id="sweep-limit-bool"
-        ),
         pytest.param(lambda: DqpParams(3, 1, -HUGE), id="params-huge-p"),
         pytest.param(lambda: DqpParams(3, 1, HUGE), id="params-huge-bound"),
         pytest.param(lambda: DqpParams(3, HUGE, 1), id="params-huge-q"),
@@ -317,9 +314,6 @@ HUGE = 10**5000
             id="witness-huge",
         ),
         pytest.param(lambda: run_verify(pmax=HUGE), id="pmax-huge"),
-        pytest.param(
-            lambda: run_verify(scope="core", sweep_limit=-HUGE), id="sweep-limit-huge"
-        ),
     ],
 )
 def test_sizes_reject_bool_and_non_integers(build):

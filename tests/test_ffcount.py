@@ -326,6 +326,13 @@ def test_slice_of_a_huge_p_is_refused_before_any_work(p, stop):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("p", [44, 45])
+def test_a_form_longer_than_the_recursion_limit_is_counted(p):
+    'y = (0, ..., 0, 1) leaves one condition x_pp = 1 on the p(p+1)/2 x-coordinates'
+    pairs = p * (p + 1) // 2
+    assert count_nonzero_y_slice(NormalFormSpec(p), 3, 1, 1, 2) == 3 ** (pairs - 1)
+
+
 def test_first_odd_primes_are_the_odd_primes_in_order():
     odd_primes = [
         n for n in range(3, 200, 2) if all(n % d for d in range(3, int(n**0.5) + 1, 2))

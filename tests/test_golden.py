@@ -43,8 +43,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_json(name, capsys, monkeypatch):
-    monkeypatch.delenv("DQP_BUDGET", raising=False)
+def test_golden_json(name, capsys):
     code = main(CASES[name] + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
@@ -63,8 +62,7 @@ CSV_CASES = [
 
 
 @pytest.mark.parametrize("name", CSV_CASES)
-def test_golden_csv(name, capsys, monkeypatch):
-    monkeypatch.delenv("DQP_BUDGET", raising=False)
+def test_golden_csv(name, capsys):
     code = main(CASES[name] + ["--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0

@@ -12,6 +12,7 @@ from dqp.errors import BudgetError, ValidationError
 from dqp.integral_closure import (
     FACET_RAY_LIMIT,
     NEWTON_CELL_LIMIT,
+    POWER_SUM_LIMIT,
     MonomialIdeal,
     default_witnesses,
     facet_ray_bound,
@@ -106,6 +107,36 @@ def test_power_ideal():
     assert same == squares_ideal(2)
     with pytest.raises(ValidationError):
         power_ideal(maximal_ideal(2), 0)
+
+
+def test_power_ideal_sums_at_most_the_limit_of_tuples():
+    y1 = ideal([1])
+    assert power_ideal(y1, POWER_SUM_LIMIT).generators == ((POWER_SUM_LIMIT,),)
+    with pytest.raises(BudgetError) as info:
+        power_ideal(y1, POWER_SUM_LIMIT + 1)
+    assert info.value.required == POWER_SUM_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: power_ideal(ideal([1]), 10**20), id="y1-to-10^20"),
+        pytest.param(lambda: power_ideal(ideal([1]), 10**7), id="y1-to-10^7"),
+        pytest.param(lambda: power_ideal(maximal_ideal(3), 60), id="m3-to-60"),
+        pytest.param(lambda: power_ideal(maximal_ideal(6), 10), id="m6-to-10"),
+        pytest.param(
+            # the exact product count alone, comb(10^4000 + 999, 999), takes seconds
+            lambda: power_ideal(ideal(*[[j, 999 - j] for j in range(1000)]), 10**4000),
+            id="1000-generators-to-10^4000",
+        ),
+    ],
+)
+def test_power_ideal_refuses_before_building_a_product(build):
+    'the tableau rule counts redundant products; each refusal comes at once'
+    started = time.perf_counter()
+    with pytest.raises(BudgetError):
+        build()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_newton_membership_basic():
