@@ -11,6 +11,8 @@ int-string digit limit.  Counts of objects already held in memory (a
 length, a digit count) are printed as they are.
 """
 
+import sys
+
 
 class DqpError(Exception):
     """Base class for all errors raised by this package."""
@@ -85,3 +87,21 @@ def require_int(name: str, value, lo: int | None = None, hi: int | None = None) 
         else:
             rule = f"{shown(lo)} <= {name} <= {shown(hi)}"
         raise ValidationError(f"{name} must satisfy {rule} (got {name}={shown(value)})")
+
+
+def require_seed(seed) -> None:
+    """Refuse with ValidationError a seed other than a str or an int (not bool).
+
+    A seed is written into case keys as text, so an int past the
+    interpreter's int-string digit limit is refused as well.
+    """
+    if isinstance(seed, str):
+        return
+    if not is_int(seed):
+        raise ValidationError(f"seed must be an int or a str (got {shown(seed)})")
+    try:
+        str(seed)
+    except ValueError:
+        raise ValidationError(
+            f"seed {shown(seed)} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None

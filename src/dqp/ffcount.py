@@ -184,9 +184,9 @@ def _solve_linear_forms(
     width-bit digit v, so a cyclic convolution is one multiplication
     whose upper prime digits fold back onto the lower ones.  A digit
     never overflows: no entry exceeds prime^size, the number of
-    x-vectors summed over.  The packed histogram of each coefficient and
-    the distribution of each sorted prefix are built once; nothing
-    outlives the call.
+    x-vectors summed over.  A form of size 2 or more starts from the
+    distribution 1 and convolves the packed histogram of each
+    coefficient in turn; each histogram is built once per call.
     """
     size = len(next(iter(forms), ()))
     digit_bytes = -(-(prime**size).bit_length() // 8)
@@ -195,38 +195,27 @@ def _solve_linear_forms(
     low = (1 << cycle) - 1
     digit = (1 << width) - 1
     histograms: dict[int, int] = {}
-    prefixes: dict[tuple[int, ...], int] = {(): 1}
-
-    def convolve(distribution: int, coefficient: int) -> int:
-        packed = histograms.get(coefficient)
-        if packed is None:
-            counts = Counter(_coordinate_values(coefficient, prime))
-            packed = int.from_bytes(
-                b"".join(
-                    counts[v].to_bytes(digit_bytes, "little") for v in range(prime)
-                ),
-                "little",
-            )
-            histograms[coefficient] = packed
-        product = distribution * packed
-        return (product & low) + (product >> cycle)
-
     solutions = {}
     for form in forms:
         if len(form) == 1:
             solutions[form] = operator.countOf(
                 _coordinate_values(form[0], prime), target
             )
-        else:
-            # A loop: recursion p(p+1)/2 deep passes Python's limit from p = 44.
-            key, missing = form[:-1], []
-            while key not in prefixes:
-                missing.append(key)
-                key = key[:-1]
-            packed = prefixes[key]
-            for key in reversed(missing):
-                packed = prefixes[key] = convolve(packed, key[-1])
-            solutions[form] = (convolve(packed, form[-1]) >> (width * target)) & digit
+            continue
+        distribution = 1
+        for coefficient in form:
+            packed = histograms.get(coefficient)
+            if packed is None:
+                counts = Counter(_coordinate_values(coefficient, prime))
+                packed = histograms[coefficient] = int.from_bytes(
+                    b"".join(
+                        counts[v].to_bytes(digit_bytes, "little") for v in range(prime)
+                    ),
+                    "little",
+                )
+            product = distribution * packed
+            distribution = (product & low) + (product >> cycle)
+        solutions[form] = (distribution >> (width * target)) & digit
     return solutions
 
 

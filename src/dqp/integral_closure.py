@@ -36,7 +36,14 @@ from functools import partial, reduce
 from math import comb, gcd
 from operator import and_, le, mul
 
-from .errors import BudgetError, ValidationError, naturals, require_int, shown
+from .errors import (
+    BudgetError,
+    ValidationError,
+    naturals,
+    require_int,
+    require_seed,
+    shown,
+)
 
 __all__ = [
     "MonomialIdeal",
@@ -242,8 +249,14 @@ def in_integral_closure_valuative(
 
 
 def default_witnesses(variable_count: int, seed: int | str = 0) -> list[tuple[int, ...]]:
-    """Unit vectors, the all-ones vector, and seeded small-integer vectors."""
+    """Unit vectors, the all-ones vector, and seeded small-integer vectors.
+
+    Refuses, before building a vector, a width that require_newton_tableau
+    refuses for one generator (more than 30 variables).
+    """
     require_int("variable_count", variable_count, 1)
+    require_seed(seed)
+    require_newton_tableau(variable_count, 1)
     witnesses = [
         tuple(int(i == j) for j in range(variable_count)) for i in range(variable_count)
     ]
@@ -317,8 +330,8 @@ def _cut(
     meets with equality; sets of rays are int bitmasks over ray indices.
     Rays with <w, g> >= c stay, and each adjacent pair of a positive and a
     negative ray adds the ray where their segment meets the row.  Adjacent
-    means the combinatorial test: they share at least n - 1 zero rows (the
-    cone has dimension n + 1), and no third ray is zero on all of those.
+    means the combinatorial test: their zero sets share n - 1 or more bits
+    (the cone has dimension n + 1), and no third ray is zero on all of them.
     """
     values = [sum(map(mul, w, g)) - c for w, c, _ in rays]
     holders = [0] * bit.bit_length()  # holders[j]: the rays zero on row j
@@ -333,14 +346,11 @@ def _cut(
             kept.append((w, c, zeros | bit))
     for iq in [i for i, value in enumerate(values) if value < 0]:
         (wq, cq, zq), vq = rays[iq], values[iq]
-        # at_least[k]: the rays sharing at least k of q's zero rows.
-        at_least = [every] + [0] * (n - 1)
-        for j in _bits(zq):
-            for k in range(n - 1, 0, -1):
-                at_least[k] |= at_least[k - 1] & holders[j]
-        for ip in _bits(at_least[-1] & positive):
+        for ip in _bits(positive):
             (wp, cp, zp), vp = rays[ip], values[ip]
             common = zp & zq
+            if common.bit_count() < n - 1:
+                continue
             inside = reduce(and_, map(holders.__getitem__, _bits(common)), every)
             if inside != (1 << ip) | (1 << iq):
                 continue

@@ -37,14 +37,18 @@ from __future__ import annotations
 import random
 
 from .chow import BidegreeSystem, intersection_number_ring
-from .errors import require_int
+from .errors import BudgetError, require_int, shown
 
 __all__ = [
     "build_le_system",
     "le_number_via_chow",
     "underlying_multiplicity_via_chow",
     "det_multiplicity",
+    "DET_P_LIMIT",
 ]
+
+# Caps det_multiplicity's p; the slowest admitted call, p = 36, takes ~0.6-0.9 s.
+DET_P_LIMIT = 36
 
 
 def build_le_system(p: int, i: int) -> BidegreeSystem:
@@ -130,9 +134,14 @@ def det_multiplicity(p: int) -> int:
     of det(t*A), interpolated from exact determinants at t = 0..p+1.  A
     is an integer symmetric matrix, redrawn while det A = 0; if 100 draws
     are all singular the line reports p + 2, which no determinant of
-    degree p can reach.
+    degree p can reach.  A p past DET_P_LIMIT is refused before any draw.
     """
     require_int("p", p, 1)
+    if p > DET_P_LIMIT:
+        raise BudgetError(
+            f"det_multiplicity of p = {shown(p)} is past the limit of {DET_P_LIMIT}",
+            required=p,
+        )
     orders = []
     for line in range(3):
         rng = random.Random(f"det:{p}:{line}")

@@ -47,7 +47,7 @@ import random
 import time
 
 from . import chow, core, ffcount, integral_closure, le_engine
-from .errors import CheckError, ValidationError, require_int, shown
+from .errors import CheckError, ValidationError, require_int, require_seed, shown
 from .report import DEFAULT_PMAX, SCOPES, Check, Report
 
 __all__ = [
@@ -538,6 +538,7 @@ def run_verify(
             f"scope must be one of {', '.join(SCOPES)} (got {shown(scope)})"
         )
     require_int("pmax", pmax, 2, 8)
+    require_seed(seed)
     suites = (
         ("core", lambda: core_checks(pmax)),
         ("chow", lambda: chow_checks(seed)),

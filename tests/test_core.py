@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -31,7 +32,7 @@ from dqp.integral_closure import (
     power_ideal,
     require_newton_tableau,
 )
-from dqp.le_engine import build_le_system, det_multiplicity
+from dqp.le_engine import DET_P_LIMIT, build_le_system, det_multiplicity
 from dqp.verify import run_verify
 
 
@@ -203,6 +204,11 @@ def test_massey_identity_sweep():
 # 5001 digits, past the interpreter's 4300-digit int-string limit
 HUGE = 10**5000
 
+# A seed is a str or an int (not bool); nothing else may become a case key.
+SEEDS_OF_OTHER_TYPES = [
+    ("bool", True), ("float", 1.5), ("none", None), ("bytes", b"x"), ("tuple", ("a",))
+]
+
 
 @pytest.mark.parametrize(
     "build",
@@ -314,6 +320,21 @@ HUGE = 10**5000
             id="witness-huge",
         ),
         pytest.param(lambda: run_verify(pmax=HUGE), id="pmax-huge"),
+        pytest.param(lambda: run_verify("core", 2, HUGE), id="verify-seed-huge"),
+        pytest.param(lambda: default_witnesses(2, seed=HUGE), id="witnesses-seed-huge"),
+        *(
+            pytest.param(
+                lambda seed=seed: run_verify("core", 2, seed), id=f"verify-seed-{name}"
+            )
+            for name, seed in SEEDS_OF_OTHER_TYPES
+        ),
+        *(
+            pytest.param(
+                lambda seed=seed: default_witnesses(2, seed=seed),
+                id=f"witnesses-seed-{name}",
+            )
+            for name, seed in SEEDS_OF_OTHER_TYPES
+        ),
     ],
 )
 def test_sizes_reject_bool_and_non_integers(build):
@@ -341,6 +362,8 @@ def test_sizes_reject_bool_and_non_integers(build):
             ),
             id="subset-count",
         ),
+        pytest.param(lambda: default_witnesses(HUGE), id="witnesses-width"),
+        pytest.param(lambda: det_multiplicity(HUGE), id="det-p"),
     ],
 )
 def test_refusals_never_print_a_huge_int(refuse):
@@ -348,6 +371,22 @@ def test_refusals_never_print_a_huge_int(refuse):
     with pytest.raises(BudgetError, match="<int too long to show>") as info:
         refuse()
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        pytest.param(lambda: default_witnesses(3000), id="witnesses-3000"),
+        pytest.param(lambda: default_witnesses(31), id="witnesses-31"),
+        pytest.param(lambda: det_multiplicity(60), id="det-60"),
+        pytest.param(lambda: det_multiplicity(DET_P_LIMIT + 1), id="det-past-limit"),
+    ],
+)
+def test_unbounded_kernels_refuse_before_any_work(refuse):
+    started = time.perf_counter()
+    with pytest.raises(BudgetError):
+        refuse()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_shown_cuts_a_long_repr_and_names_a_huge_int():

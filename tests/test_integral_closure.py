@@ -3,6 +3,7 @@ import random
 import threading
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -357,6 +358,23 @@ def test_every_returned_pair_is_a_facet():
             assert _rank_mod(tight) == n, (gens, w, c)
 
 
+def test_the_third_ray_test_runs_only_on_pairs_sharing_n_minus_1_rows(monkeypatch):
+    'a pair sharing fewer than n - 1 zero rows cannot be adjacent, so it skips the test'
+    shared = []
+
+    def counted(function, rows, start):
+        rows = list(rows)
+        shared.append(len(rows))
+        return reduce(function, rows, start)
+
+    monkeypatch.setattr(integral_closure, "reduce", counted)
+    for case in range(20):
+        rng = random.Random(f"test:facet-filter:{case}")
+        rows = [[rng.randint(0, 7) for _ in range(4)] for _ in range(8)]
+        newton_facet_normals(ideal(*rows))
+    assert shared and min(shared) == 3
+
+
 def test_newton_cell_budget():
     'one generator in n variables is an (n + 1) x (n + 2) tableau'
     assert NEWTON_CELL_LIMIT == 1000
@@ -600,6 +618,7 @@ def test_default_witnesses_shape():
     assert witnesses[3] == (1, 1, 1)
     assert all(type(w) is tuple and all(type(v) is int for v in w) for w in witnesses)
     assert default_witnesses(3, seed=7) == witnesses
+    assert len(default_witnesses(30)) == 30 + 1 + 50  # the widest admitted
 
 
 def test_default_witnesses_follow_the_randint_stream():
