@@ -4,10 +4,11 @@ The command-line front end maps these onto its exit-code contract:
 validation failures exit 2, budget refusals exit 3, internal check
 failures exit 1.
 
-Every layer refuses a bad integer through ``require_int`` and a bad
-exponent tuple through ``naturals``, and shows a refused value through
-``shown``, so no message ever converts an int past the interpreter's
-int-string digit limit.  Counts of objects already held in memory (a
+Every layer refuses a bad integer through ``require_int``, a bad
+exponent tuple through ``naturals`` and a bad seed through
+``require_seed``, and shows a refused value through ``shown``, so no
+message ever converts an int past the interpreter's int-string digit
+limit.  Counts of objects already held in memory (a
 length, a digit count) are printed as they are.
 """
 

@@ -359,7 +359,7 @@ def test_every_returned_pair_is_a_facet():
 
 
 def test_the_third_ray_test_runs_only_on_pairs_sharing_n_minus_1_rows(monkeypatch):
-    'a pair sharing fewer than n - 1 zero rows cannot be adjacent, so it skips the test'
+    'the third-ray test decides alone; sharing n - 1 zero rows is its speed pre-filter'
     shared = []
 
     def counted(function, rows, start):
