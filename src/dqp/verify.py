@@ -172,7 +172,8 @@ def _cases(seed: int | str, tag: str, count: int):
     """Case c = 0..count-1 of a seeded check: (c, its random stream, its key).
 
     The key f"{seed}:{tag}:{c}" seeds the stream, so a fixed seed redraws
-    every case of every check; no other code derives a stream.
+    every case of every check; no other code derives a stream.  The
+    suites that call it refuse a seed through require_seed first.
     """
     for c in range(count):
         key = f"{seed}:{tag}:{c}"
@@ -211,6 +212,7 @@ def _random_system(rng: random.Random, max_total: int = 10) -> chow.BidegreeSyst
 
 
 def chow_checks(seed: int | str = 0) -> list[Check]:
+    require_seed(seed)
     # Looked up per call, so a patched or traced route is the one checked.
     ring = chow.intersection_number_ring
     fulton = chow.intersection_number_fulton
@@ -323,6 +325,7 @@ def _membership_case(
 
 
 def closure_checks(seed: int | str = 0) -> list[Check]:
+    require_seed(seed)
     # Looked up per call, so a patched or traced route is the one checked.
     newton = integral_closure.in_integral_closure_newton
     is_reduction = integral_closure.is_reduction

@@ -33,7 +33,7 @@ from dqp.integral_closure import (
     require_newton_tableau,
 )
 from dqp.le_engine import DET_P_LIMIT, build_le_system, det_multiplicity
-from dqp.verify import run_verify
+from dqp.verify import chow_checks, closure_checks, run_verify
 
 
 def test_params_validation_messages():
@@ -328,6 +328,10 @@ SEEDS_OF_OTHER_TYPES = [
             )
             for name, seed in SEEDS_OF_OTHER_TYPES
         ),
+        pytest.param(lambda: chow_checks(HUGE), id="chow-seed-huge"),
+        pytest.param(lambda: chow_checks(True), id="chow-seed-bool"),
+        pytest.param(lambda: closure_checks(HUGE), id="closure-seed-huge"),
+        pytest.param(lambda: closure_checks(None), id="closure-seed-none"),
         *(
             pytest.param(
                 lambda seed=seed: default_witnesses(2, seed=seed),

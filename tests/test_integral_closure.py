@@ -3,7 +3,6 @@ import random
 import threading
 import time
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -356,23 +355,6 @@ def test_every_returned_pair_is_a_facet():
             tight += [[int(j == k) for j in range(n)] + [0] for k in range(n) if not w[k]]
             # rank n modulo a prime forces rank n: the rows all vanish on (w, c)
             assert _rank_mod(tight) == n, (gens, w, c)
-
-
-def test_the_third_ray_test_runs_only_on_pairs_sharing_n_minus_1_rows(monkeypatch):
-    'the third-ray test decides alone; sharing n - 1 zero rows is its speed pre-filter'
-    shared = []
-
-    def counted(function, rows, start):
-        rows = list(rows)
-        shared.append(len(rows))
-        return reduce(function, rows, start)
-
-    monkeypatch.setattr(integral_closure, "reduce", counted)
-    for case in range(20):
-        rng = random.Random(f"test:facet-filter:{case}")
-        rows = [[rng.randint(0, 7) for _ in range(4)] for _ in range(8)]
-        newton_facet_normals(ideal(*rows))
-    assert shared and min(shared) == 3
 
 
 def test_newton_cell_budget():
