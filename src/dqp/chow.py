@@ -30,9 +30,8 @@ integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .errors import BudgetError, ValidationError, naturals, require_int, shown
+from .errors import ValidationError, naturals, require_int, require_within, shown
 
 __all__ = [
     "BidegreeSystem",
@@ -96,13 +95,8 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
     it is overwritten.
     """
     n, m = system.ambient_n, system.ambient_m
-    cells = (n + 1) * len(system.classes)
-    if cells > RING_CELL_LIMIT:
-        raise BudgetError(
-            f"ring product refuses {shown(cells)} cell updates "
-            f"(limit {RING_CELL_LIMIT})",
-            required=cells,
-        )
+    work = f"the ring product of {len(system.classes)} classes (cell updates)"
+    require_within(work, (n + 1) * len(system.classes), RING_CELL_LIMIT)
     coeffs = [1] + [0] * n
     for j, (a, b) in enumerate(system.classes, 1):
         for u in range(min(j, n), -1, -1):
@@ -125,13 +119,7 @@ def intersection_number_fulton(system: BidegreeSystem) -> int:
     """
     n, m = system.ambient_n, system.ambient_m
     total = n + m
-    if total > FULTON_SUBSET_LIMIT:
-        raise BudgetError(
-            f"subset enumeration refuses n+m={shown(total)} classes "
-            f"(limit {FULTON_SUBSET_LIMIT}, {shown(comb(total, n))} subsets); "
-            "use the ring algorithm",
-            required=comb(total, n),
-        )
+    require_within("the subset sum (classes)", total, FULTON_SUBSET_LIMIT)
     a = [cls[0] for cls in system.classes]
     b = [cls[1] for cls in system.classes]
     # rest_a[i] and rest_b[i]: the products of a[i:] and of b[i:].

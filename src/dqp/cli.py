@@ -22,7 +22,7 @@ import time
 from collections import Counter
 
 from . import chow, core, ffcount, integral_closure, le_engine, verify
-from .errors import BudgetError, CheckError, ValidationError, require_int, shown
+from .errors import BudgetError, CheckError, ValidationError, require_within, shown
 from .report import DEFAULT_PMAX, SCOPES, Check, Report, dimension_table
 
 __all__ = ["main", "build_parser"]
@@ -101,18 +101,7 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
     if args.i is not None:
         indices = [args.i]
     else:
-        require_int("p", p, 2)
-        # Each ring product is bounded on its own; bound their sum too.  Every
-        # system of le_engine.build_le_system(p, i) has n + 1 = p(p+1)/2 cells
-        # and n + m = p(p+1)/2 + p - 2 classes, whatever i is.
-        half = p * (p + 1) // 2
-        cells = p * half * (half + p - 2)
-        if cells > chow.RING_CELL_LIMIT:
-            raise BudgetError(
-                f"lecycles refuses {shown(cells)} ring cell updates over "
-                f"{shown(p)} systems (limit {chow.RING_CELL_LIMIT})",
-                required=cells,
-            )
+        le_engine.require_le_systems(p, p)
         indices = list(range(1, p + 1))
     params = core.minimal_params(p)
     closed = core.le_numbers(params)
@@ -206,9 +195,8 @@ def cmd_chow(args: argparse.Namespace) -> Report:
     # route, what could pass the int-to-string digit limit (0: none).
     bits = sum((a + b).bit_length() for a, b in system.classes)
     digits, limit = math.ceil(bits * math.log10(2)), sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        message = f"the intersection number may have {digits} digits (limit {limit})"
-        raise BudgetError(message, required=digits)
+    if limit:
+        require_within("the intersection number (digits)", digits, limit)
     results: dict = {
         "ambient": [args.n, args.m],
         "classes": [[a, b] for a, b in system.classes],

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, ValidationError, require_int, shown
+from .errors import ValidationError, require_int, require_within, shown
 
 __all__ = [
     "DqpParams",
@@ -177,12 +177,8 @@ def _dense_table(name: str, top: int, p: int, shift: int) -> dict[int, int]:
 
     More than LE_TABLE_LIMIT entries are refused before any is allocated.
     """
-    if top + 1 > LE_TABLE_LIMIT:
-        raise BudgetError(
-            f"a {name} table over dimensions 0..{shown(top)} has {shown(top + 1)} "
-            f"entries (limit {LE_TABLE_LIMIT})",
-            required=top + 1,
-        )
+    work = f"a {name} table over dimensions 0..{shown(top)} (entries)"
+    require_within(work, top + 1, LE_TABLE_LIMIT)
     entries = {d: 0 for d in range(top + 1)}
     for i in range(p + 1 - shift):
         entries[top - i] = 2**i * comb(p, p - i - shift)

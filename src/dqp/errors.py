@@ -5,11 +5,11 @@ validation failures exit 2, budget refusals exit 3, internal check
 failures exit 1.
 
 Every layer refuses a bad integer through ``require_int``, a bad
-exponent tuple through ``naturals`` and a bad seed through
-``require_seed``, and shows a refused value through ``shown``, so no
-message ever converts an int past the interpreter's int-string digit
-limit.  Counts of objects already held in memory (a
-length, a digit count) are printed as they are.
+exponent tuple through ``naturals``, a bad seed through ``require_seed``
+and oversized work through ``require_within`` (the one raiser of
+BudgetError), and shows a refused value through ``shown``, so no message
+converts an int past the interpreter's int-string digit limit.  Counts of
+objects held in memory (a length, a digit count) are printed as they are.
 """
 
 import sys
@@ -29,8 +29,9 @@ class ValidationError(DqpError, ValueError):
 class BudgetError(DqpError, RuntimeError):
     """A computation would exceed its enumeration budget.
 
-    ``required`` carries the budget that would be needed for the call to
-    proceed, when that is known.
+    ``required`` is the amount compared with the limit, in the limit's unit:
+    the budget that would let the call go ahead.  It is None when the amount
+    was not formed, because forming it could itself blow up.
     """
 
     def __init__(self, message: str, required: int | None = None):
@@ -106,3 +107,15 @@ def require_seed(seed) -> None:
         raise ValidationError(
             f"seed {shown(seed)} has more than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def require_within(work: str, required: int | None, limit: int) -> None:
+    """Refuse `work` with BudgetError when `required` passes `limit` or is None.
+
+    The message reads "<work> needs <required>, past the limit of <limit>",
+    both numbers through ``shown``; for None it drops the number.
+    """
+    if required is not None and required <= limit:
+        return
+    needs = "is" if required is None else f"needs {shown(required)},"
+    raise BudgetError(f"{work} {needs} past the limit of {shown(limit)}", required)

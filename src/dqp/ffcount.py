@@ -43,7 +43,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from .core import DqpParams
-from .errors import BudgetError, CheckError, ValidationError, is_int, require_int, shown
+from .errors import CheckError, ValidationError, is_int, require_int, require_within, shown
 
 __all__ = [
     "NormalFormSpec",
@@ -136,10 +136,7 @@ def _is_odd_prime(n: int) -> bool:
 
 def _require_odd_prime(prime: int) -> None:
     _require_odd_modulus(prime)
-    if prime >= _MR_EXACT_BELOW:
-        raise BudgetError(
-            f"primality of {shown(prime)} is only decided below {_MR_EXACT_BELOW}"
-        )
+    require_within("exact primality (the modulus)", prime, _MR_EXACT_BELOW - 1)
     if not _is_odd_prime(prime):
         raise ValidationError(f"the modulus must be an odd prime (got {shown(prime)})")
 
@@ -293,13 +290,8 @@ def count_nonzero_y_slice(
             f"slice [{shown(start)}, {shown(stop)}) out of range for "
             f"{shown(prime)}^{shown(spec.p)} y-vectors"
         )
-    products = max(stop - start, 1) * pair_count
-    if products > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"slice [{shown(start)}, {shown(stop)}) needs {shown(products)} index-pair "
-            f"products, more than the budget of {DEFAULT_BUDGET}",
-            required=products,
-        )
+    work = f"the slice [{shown(start)}, {shown(stop)}) (index-pair products)"
+    require_within(work, max(stop - start, 1) * pair_count, DEFAULT_BUDGET)
     pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
         itertools.product(range(prime), repeat=spec.p), start, stop
@@ -344,12 +336,8 @@ def count_points(
     # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
     # refuse without computing the power, whose size n alone can blow up.
     enumerated = None if spec.n > budget.bit_length() else prime**spec.n
-    if enumerated is None or enumerated > budget:
-        raise BudgetError(
-            f"counting {shown(prime)}^{shown(spec.n)} points exceeds the budget "
-            f"of {shown(budget)}",
-            required=enumerated,
-        )
+    work = f"counting {shown(prime)}^{shown(spec.n)} points"
+    require_within(work, enumerated, budget)
     _require_odd_prime(prime)
     total_y = prime**spec.p
     workers = min(jobs, total_y, os.cpu_count() or 1)
@@ -396,10 +384,17 @@ def counting_polynomial(spec: NormalFormSpec) -> tuple[int, ...]:
     count (q1 = 0) is sampled: it is counted at the first
     p(p+1)/2 + p odd primes and interpolated exactly.  Raises CheckError
     if a coefficient is not an integer, or if the polynomial misses the
-    count at one more, held-out prime.
+    count at one more, held-out prime.  Refused before the first count past
+    DEFAULT_BUDGET in index-pair products summed over its slices.
     """
     base = NormalFormSpec(spec.p)
+    pairs = base.matrix_variable_count
+    work = f"counting_polynomial of p = {shown(spec.p)} (index-pair products)"
+    # Every prime is >= 3: refuse at that floor before listing primes or forming 3^p.
+    if pairs > DEFAULT_BUDGET or (base.n + 1) * 3**base.p * pairs > DEFAULT_BUDGET:
+        require_within(work, None, DEFAULT_BUDGET)
     primes = _first_odd_primes(base.n + 1)
+    require_within(work, sum(prime**base.p for prime in primes) * pairs, DEFAULT_BUDGET)
     counts = [
         count_nonzero_y_slice(base, prime, 1, 0, prime**base.p) for prime in primes
     ]

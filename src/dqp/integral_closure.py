@@ -37,11 +37,11 @@ from math import comb, gcd
 from operator import and_, le, mul
 
 from .errors import (
-    BudgetError,
     ValidationError,
     naturals,
     require_int,
     require_seed,
+    require_within,
     shown,
 )
 
@@ -132,9 +132,8 @@ def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
     # At least g products: a huge power is refused before comb, which takes seconds.
     g = len(ideal.generators)
     count = g if g * e > POWER_SUM_LIMIT else comb(g + e - 1, e)
-    if count * e > POWER_SUM_LIMIT:
-        message = f"power {shown(e)} sums {shown(count * e)} or more exponent tuples"
-        raise BudgetError(f"{message} (limit {POWER_SUM_LIMIT})", required=count * e)
+    work = f"power {shown(e)} of {g} generators (exponent tuples summed)"
+    require_within(work, count * e, POWER_SUM_LIMIT)
     require_newton_tableau(ideal.variable_count, count)
     products = (
         tuple(map(sum, zip(*combo)))
@@ -145,14 +144,9 @@ def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
 
 def require_newton_tableau(variable_count: int, generator_count: int) -> None:
     """Refuse a Newton simplex past NEWTON_CELL_LIMIT: (n + 1)(g + n + 1) cells."""
-    cells = (variable_count + 1) * (generator_count + variable_count + 1)
-    if cells > NEWTON_CELL_LIMIT:
-        raise BudgetError(
-            f"{shown(generator_count)} generators in {shown(variable_count)} "
-            f"variables bound the Newton tableau at {shown(cells)} cells "
-            f"(limit {NEWTON_CELL_LIMIT})",
-            required=cells,
-        )
+    n, g = variable_count, generator_count
+    work = f"the Newton tableau of {shown(g)} generators in {shown(n)} variables (cells)"
+    require_within(work, (n + 1) * (g + n + 1), NEWTON_CELL_LIMIT)
 
 
 def in_integral_closure_newton(ideal: MonomialIdeal, m: tuple[int, ...]) -> bool:
@@ -257,13 +251,7 @@ def default_witnesses(variable_count: int, seed: int | str = 0) -> list[tuple[in
     """
     require_int("variable_count", variable_count, 1)
     require_seed(seed)
-    if (variable_count + 1) * (variable_count + 2) > NEWTON_CELL_LIMIT:
-        raise BudgetError(
-            f"default_witnesses of {shown(variable_count)} variables is wider "
-            f"than any support the Newton tableau rule admits "
-            f"(limit {NEWTON_CELL_LIMIT} cells)",
-            required=variable_count,
-        )
+    require_newton_tableau(variable_count, 1)
     witnesses = [
         tuple(int(i == j) for j in range(variable_count)) for i in range(variable_count)
     ]
@@ -309,13 +297,8 @@ def newton_facet_normals(
     generator, a ray bound past FACET_RAY_LIMIT.
     """
     n, count = ideal.variable_count, len(ideal.generators)
-    bound = facet_ray_bound(n, count)
-    if bound > FACET_RAY_LIMIT:
-        raise BudgetError(
-            f"facet enumeration in {shown(n)} variables with {count} generators "
-            f"may hold {shown(bound)} rays (limit {FACET_RAY_LIMIT})",
-            required=bound,
-        )
+    work = f"facet enumeration of {count} generators in {n} variables (rays held)"
+    require_within(work, facet_ray_bound(n, count), FACET_RAY_LIMIT)
     first, *others = ideal.generators
     # Bit j < n of a zero set is the row w_j >= 0; bit n + k is generator k's.
     units = (1 << n) - 1

@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import random
 
+from . import chow
 from .chow import BidegreeSystem, intersection_number_ring
-from .errors import BudgetError, require_int, shown
+from .errors import require_int, require_within, shown
 
 __all__ = [
     "build_le_system",
+    "require_le_systems",
     "le_number_via_chow",
     "underlying_multiplicity_via_chow",
     "det_multiplicity",
@@ -57,15 +59,28 @@ def build_le_system(p: int, i: int) -> BidegreeSystem:
     Ambient P^{p(p+1)/2 - 1} x P^{p-1}; classes are p copies of (1,1),
     i - 1 copies of (0,2) and p(p+1)/2 - i - 1 copies of (1,0).  Needs
     p >= 2 (for p = 1 the hyperplane count would go negative) and
-    1 <= i <= p.
+    1 <= i <= p; require_le_systems(p, 1) refuses it before any class.
     """
     require_int("p", p, 2)
     require_int("i", i, 1, p)
+    require_le_systems(p, 1)
     ambient_n = p * (p + 1) // 2 - 1
     ambient_m = p - 1
     hyperplanes = p * (p + 1) // 2 - i - 1
     classes = ((1, 1),) * p + ((0, 2),) * (i - 1) + ((1, 0),) * hyperplanes
     return BidegreeSystem(ambient_n=ambient_n, ambient_m=ambient_m, classes=classes)
+
+
+def require_le_systems(p: int, systems: int) -> None:
+    """Refuse `systems` ring products of Lê systems of size p past RING_CELL_LIMIT.
+
+    Every system of build_le_system(p, i) has n + 1 = p(p+1)/2 cells and
+    n + m = p(p+1)/2 + p - 2 classes, whatever i is.
+    """
+    require_int("p", p, 2)
+    half = p * (p + 1) // 2
+    work = f"{shown(systems)} Lê systems of p = {shown(p)} (cell updates)"
+    require_within(work, systems * half * (half + p - 2), chow.RING_CELL_LIMIT)
 
 
 def underlying_multiplicity_via_chow(p: int, i: int) -> int:
@@ -137,11 +152,7 @@ def det_multiplicity(p: int) -> int:
     degree p can reach.  A p past DET_P_LIMIT is refused before any draw.
     """
     require_int("p", p, 1)
-    if p > DET_P_LIMIT:
-        raise BudgetError(
-            f"det_multiplicity of p = {shown(p)} is past the limit of {DET_P_LIMIT}",
-            required=p,
-        )
+    require_within("det_multiplicity (the matrix size p)", p, DET_P_LIMIT)
     orders = []
     for line in range(3):
         rng = random.Random(f"det:{p}:{line}")

@@ -134,7 +134,7 @@ def test_fulton_budget_refusal():
     s = system(13, total - 13, [(1, 1)] * total)
     with pytest.raises(BudgetError) as info:
         intersection_number_fulton(s)
-    assert info.value.required == comb(total, 13)
+    assert info.value.required == total
     # the ring algorithm still handles it
     assert intersection_number_ring(s) == comb(total, 13)
 
@@ -180,4 +180,4 @@ def test_fulton_refuses_25_classes_for_every_n():
     for n in range(26):
         with pytest.raises(BudgetError) as info:
             intersection_number_fulton(system(n, 25 - n, [(1, 1)] * 25))
-        assert info.value.required == comb(25, n)
+        assert info.value.required == 25

@@ -1,7 +1,10 @@
+import itertools
 import time
 from math import comb
 
 import pytest
+
+from dqp import chow, cli, ffcount
 
 from dqp.core import (
     FIXED_LE_CYCLES,
@@ -17,18 +20,25 @@ from dqp.core import (
     validate_params,
     verify_massey_identity,
 )
-from dqp.chow import BidegreeSystem, intersection_number_fulton
+from dqp.chow import BidegreeSystem, intersection_number_fulton, intersection_number_ring
 from dqp.errors import BudgetError, ValidationError, require_int, shown
 from dqp.ffcount import (
+    DEFAULT_BUDGET,
     NormalFormSpec,
     count_nonzero_y_slice,
     count_points,
+    counting_polynomial,
     eval_normal_form,
 )
 from dqp.integral_closure import (
+    FACET_RAY_LIMIT,
+    NEWTON_CELL_LIMIT,
+    POWER_SUM_LIMIT,
     MonomialIdeal,
     default_witnesses,
+    facet_ray_bound,
     in_integral_closure_valuative,
+    newton_facet_normals,
     power_ideal,
     require_newton_tableau,
 )
@@ -347,34 +357,190 @@ def test_sizes_reject_bool_and_non_integers(build):
     assert len(str(info.value)) < 200
 
 
+TOO_LONG = "<int too long to show>"
+
+
 @pytest.mark.parametrize(
-    "refuse",
+    "refuse, shows",
     [
-        pytest.param(lambda: le_numbers(DqpParams(HUGE + 2, HUGE, 1)), id="le-table"),
-        pytest.param(lambda: count_points(NormalFormSpec(HUGE), 3), id="count-p"),
         pytest.param(
-            lambda: count_points(NormalFormSpec(1), HUGE + 1), id="count-prime"
+            lambda: le_numbers(DqpParams(HUGE + 2, HUGE, 1)), TOO_LONG, id="le-table"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(HUGE), 3), TOO_LONG, id="count-p"
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), HUGE + 1), TOO_LONG, id="count-prime"
         ),
         pytest.param(
             lambda: count_nonzero_y_slice(NormalFormSpec(1), HUGE + 1, 1, 0, 5),
+            TOO_LONG,
             id="slice-primality",
         ),
-        pytest.param(lambda: require_newton_tableau(HUGE, 1), id="newton-tableau"),
+        pytest.param(
+            lambda: require_newton_tableau(HUGE, 1), TOO_LONG, id="newton-tableau"
+        ),
+        # The subset sum compares its class count, not the comb(20000, 10000)
+        # subsets, a 6019-digit int, that it once reported.
         pytest.param(
             lambda: intersection_number_fulton(
                 BidegreeSystem(10000, 10000, ((1, 1),) * 20000)
             ),
+            "needs 20000, past the limit of 24",
             id="subset-count",
         ),
-        pytest.param(lambda: default_witnesses(HUGE), id="witnesses-width"),
-        pytest.param(lambda: det_multiplicity(HUGE), id="det-p"),
+        pytest.param(lambda: default_witnesses(HUGE), TOO_LONG, id="witnesses-width"),
+        pytest.param(lambda: det_multiplicity(HUGE), TOO_LONG, id="det-p"),
+        pytest.param(
+            lambda: counting_polynomial(NormalFormSpec(HUGE)),
+            TOO_LONG,
+            id="counting-polynomial-p",
+        ),
+        pytest.param(lambda: build_le_system(HUGE, 1), TOO_LONG, id="le-system-p"),
     ],
 )
-def test_refusals_never_print_a_huge_int(refuse):
+def test_refusals_never_print_a_huge_int(refuse, shows):
     'a refusal names an int past the digit limit instead of converting it'
-    with pytest.raises(BudgetError, match="<int too long to show>") as info:
+    with pytest.raises(BudgetError) as info:
         refuse()
+    assert shows in str(info.value)
     assert len(str(info.value)) < 200
+
+
+MR_EXACT_BELOW = ffcount._MR_EXACT_BELOW
+# counting_polynomial of p = 4 counts at p(p+1)/2 + p + 1 = 15 primes.
+FIRST_15_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+DEGREE_NINE = [e for e in itertools.product(range(10), repeat=4) if sum(e) == 9]
+# Two classes of 7143 and 7142 bits bound the answer by ceil(14285 log10 2) digits.
+DIGIT_CLASSES = f"{2**7142},0;{2**7141},0"
+
+
+def _handle(*argv):
+    """Run a subcommand's handler, so that its BudgetError is not mapped to exit 3."""
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+@pytest.mark.parametrize(
+    "refuse, required, limit",
+    [
+        pytest.param(
+            lambda: le_numbers(DqpParams(LE_TABLE_LIMIT + 2, LE_TABLE_LIMIT, 2)),
+            LE_TABLE_LIMIT + 1,
+            LE_TABLE_LIMIT,
+            id="core-dense-table",
+        ),
+        pytest.param(
+            lambda: det_multiplicity(DET_P_LIMIT + 1),
+            DET_P_LIMIT + 1,
+            DET_P_LIMIT,
+            id="le-engine-det",
+        ),
+        pytest.param(
+            lambda: build_le_system(79, 1),
+            3160 * (3160 + 77),
+            chow.RING_CELL_LIMIT,
+            id="le-engine-one-system",
+        ),
+        pytest.param(
+            lambda: _handle("lecycles", "--p", "33"),
+            33 * 561 * (561 + 31),
+            chow.RING_CELL_LIMIT,
+            id="cli-lecycles-systems",
+        ),
+        pytest.param(
+            lambda: intersection_number_ring(
+                BidegreeSystem(10, 909081, ((1, 1),) * 909091)
+            ),
+            11 * 909091,
+            chow.RING_CELL_LIMIT,
+            id="chow-ring",
+        ),
+        pytest.param(
+            lambda: intersection_number_fulton(BidegreeSystem(12, 13, ((1, 1),) * 25)),
+            25,
+            chow.FULTON_SUBSET_LIMIT,
+            id="chow-fulton",
+        ),
+        pytest.param(
+            lambda: power_ideal(MonomialIdeal(1, ((1,),)), POWER_SUM_LIMIT + 1),
+            POWER_SUM_LIMIT + 1,
+            POWER_SUM_LIMIT,
+            id="closure-power",
+        ),
+        pytest.param(
+            lambda: require_newton_tableau(6, 136),
+            7 * 143,
+            NEWTON_CELL_LIMIT,
+            id="closure-newton-tableau",
+        ),
+        pytest.param(
+            lambda: default_witnesses(31),
+            32 * 33,
+            NEWTON_CELL_LIMIT,
+            id="closure-witnesses",
+        ),
+        pytest.param(
+            lambda: newton_facet_normals(MonomialIdeal(4, DEGREE_NINE[:196])),
+            facet_ray_bound(4, 196),
+            FACET_RAY_LIMIT,
+            id="closure-facets",
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), MR_EXACT_BELOW, budget=10**48),
+            MR_EXACT_BELOW,
+            MR_EXACT_BELOW - 1,
+            id="ffcount-primality",
+        ),
+        pytest.param(
+            lambda: count_nonzero_y_slice(NormalFormSpec(1), 10**8 + 7, 1, 0, 10**8 + 1),
+            10**8 + 1,
+            DEFAULT_BUDGET,
+            id="ffcount-slice",
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1), 3, budget=8),
+            9,
+            8,
+            id="ffcount-count",
+        ),
+        pytest.param(
+            lambda: count_points(NormalFormSpec(1, q1=26), 3),
+            None,
+            DEFAULT_BUDGET,
+            id="ffcount-count-unformed",
+        ),
+        pytest.param(
+            lambda: counting_polynomial(NormalFormSpec(4)),
+            10 * sum(prime**4 for prime in FIRST_15_ODD_PRIMES),
+            DEFAULT_BUDGET,
+            id="ffcount-counting-polynomial",
+        ),
+        pytest.param(
+            lambda: counting_polynomial(NormalFormSpec(10)),
+            None,
+            DEFAULT_BUDGET,
+            id="ffcount-counting-polynomial-unformed",
+        ),
+        pytest.param(
+            lambda: _handle("chow", "--n", "2", "--m", "0", "--classes", DIGIT_CLASSES),
+            4301,
+            4300,
+            id="cli-chow-digits",
+        ),
+    ],
+)
+def test_every_refusal_reports_what_it_compared(refuse, required, limit):
+    'required is the amount compared with the limit, and the message shows both'
+    with pytest.raises(BudgetError) as info:
+        refuse()
+    message = str(info.value)
+    assert info.value.required == required
+    assert required is None or required > limit
+    if required is not None:
+        assert f"needs {shown(required)}," in message
+    assert message.endswith(f"past the limit of {shown(limit)}")
+    assert len(message) < 200
 
 
 @pytest.mark.parametrize(
