@@ -379,11 +379,8 @@ def cmd_closure(args: argparse.Namespace) -> Report:
 
 def cmd_count(args: argparse.Namespace) -> Report:
     spec = ffcount.NormalFormSpec(p=args.p, q1=args.q1)
-    budget = ffcount.DEFAULT_BUDGET if args.budget is None else args.budget
     jobs = 1 if args.jobs is None else args.jobs
-    report = ffcount.count_points(
-        spec, args.prime, target=args.target, budget=budget, jobs=jobs
-    )
+    report = ffcount.count_points(spec, args.prime, target=args.target, jobs=jobs)
     predicted = ffcount.predicted_count(spec, args.prime)
     checks = [
         Check.of(
@@ -497,12 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--prime", type=_int, required=True, help="odd prime modulus")
     p_count.add_argument("--target", type=_int, default=1, help="nonzero field element")
-    p_count.add_argument(
-        "--budget",
-        type=_int,
-        default=None,
-        help="maximum prime^n (default 10^8)",
-    )
     p_count.add_argument(
         "--jobs",
         type=_int,

@@ -272,7 +272,7 @@ def count_nonzero_y_slice(
     slices it runs at once, so that they solve each form once between
     them.  A slice whose y-vectors (at least one) times its p(p+1)/2
     index pairs pass DEFAULT_BUDGET is refused before the pairs are
-    built; under its default budget, count_points never asks for one.
+    built; count_points never asks for one.
     """
     require_int("target", target)
     require_int("start", start)
@@ -314,30 +314,29 @@ def count_points(
     spec: NormalFormSpec,
     prime: int,
     target: int = 1,
-    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> PointCountReport:
     """Exhaustive count of {f = target} in F_prime^n.
 
     The report holds the count only; callers compare it with
-    predicted_count.  The budget is checked before primality, so an oversized modulus is
-    refused before any primality test.  With jobs > 1 the y-range is split
-    into contiguous slices counted on worker threads, at most one per
-    y-vector and per core; integer addition of disjoint slice counts
-    makes the result independent of the partition and the scheduling.
+    predicted_count.  A count past DEFAULT_BUDGET points (prime^n) is
+    refused before the modulus is tested for primality.  With jobs > 1
+    the y-range is split into contiguous slices counted on worker
+    threads, at most one per y-vector and per core; integer addition of
+    disjoint slice counts makes the result independent of the partition
+    and the scheduling.
     The slices share their forms (see _SharedForms), so they do the work
     of one slice, but the counter holds the interpreter lock: jobs > 1 is
     never faster than jobs = 1.
     """
-    require_int("budget", budget, 1)
     require_int("jobs", jobs, 1)
     require_int("target", target)
     _require_odd_modulus(prime)
-    # prime >= 3 > 2, so prime^n > budget once n passes budget.bit_length():
+    # prime >= 3 > 2, so prime^n > DEFAULT_BUDGET once n passes its bit length:
     # refuse without computing the power, whose size n alone can blow up.
-    enumerated = None if spec.n > budget.bit_length() else prime**spec.n
+    enumerated = None if spec.n > DEFAULT_BUDGET.bit_length() else prime**spec.n
     work = f"counting {shown(prime)}^{shown(spec.n)} points"
-    require_within(work, enumerated, budget)
+    require_within(work, enumerated, DEFAULT_BUDGET)
     _require_odd_prime(prime)
     total_y = prime**spec.p
     workers = min(jobs, total_y, os.cpu_count() or 1)

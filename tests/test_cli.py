@@ -600,11 +600,22 @@ def test_count_check_fails_on_a_wrong_count(capsys, monkeypatch):
 
 
 def test_count_budget_flag(capsys):
-    code, _, err = run(
-        capsys, "count", "--p", "3", "--prime", "11", "--budget", "1000"
-    )
+    'the points limit is the constant DEFAULT_BUDGET'
+    code, _, err = run(capsys, "count", "--p", "3", "--prime", "11")
     assert code == 3
-    assert f"counting 11^9 points needs {11**9}, past the limit of 1000" in err
+    assert "counting 11^9 points needs 2357947691, past the limit of 100000000" in err
+
+
+def test_count_has_no_budget_option(capsys):
+    'no flag or keyword raises the points limit'
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--p", "1", "--prime", "3", "--budget", "9"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments: --budget 9" in err
+    with pytest.raises(TypeError):
+        ffcount.count_points(ffcount.NormalFormSpec(1), 3, budget=9)
 
 
 @pytest.mark.parametrize(
@@ -613,7 +624,7 @@ def test_count_budget_flag(capsys):
     ids=["count", "verify"],
 )
 def test_budget_environment_variable_is_inert(capsys, monkeypatch, argv):
-    'only --budget sets a budget; a DQP_BUDGET in the environment changes nothing'
+    'the limits are constants; a DQP_BUDGET in the environment changes nothing'
     argv = (*argv, "--format", "json")
     monkeypatch.delenv("DQP_BUDGET", raising=False)
     unset = run(capsys, *argv)
@@ -621,15 +632,6 @@ def test_budget_environment_variable_is_inert(capsys, monkeypatch, argv):
     for value in ("100", "not-a-number"):
         monkeypatch.setenv("DQP_BUDGET", value)
         assert run(capsys, *argv) == unset
-
-
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_count_nonpositive_budget_is_invalid(capsys, budget):
-    'the flag is checked by count_points, and exits 2'
-    code, out, err = run(capsys, "count", "--p", "1", "--prime", "3", "--budget", budget)
-    assert code == 2
-    assert out == ""
-    assert "budget must satisfy budget >= 1" in err
 
 
 def test_count_jobs_equivalence(capsys):
@@ -681,14 +683,12 @@ def test_count_refusal_never_expands_prime_to_the_n(capsys, argv):
 
 
 def test_count_modulus_beyond_exact_primality_refused(capsys):
-    'a raised budget admits the grid, but primality is not decided there'
-    prime = str(399165290221 * 798330580441)
-    code, out, err = run(
-        capsys, "count", "--p", "1", "--prime", prime, "--budget", str(10**48)
-    )
+    'the points limit refuses the modulus before primality could be undecided'
+    prime = 399165290221 * 798330580441
+    code, out, err = run(capsys, "count", "--p", "1", "--prime", str(prime))
     assert code == 3
     assert out == ""
-    assert "primality" in err
+    assert f"counting {prime}^2 points needs " in err
 
 
 # The most digits an int may have and still convert to and from a string.

@@ -29,6 +29,7 @@ from dqp.ffcount import (
     count_points,
     counting_polynomial,
     eval_normal_form,
+    predicted_count,
 )
 from dqp.integral_closure import (
     FACET_RAY_LIMIT,
@@ -300,9 +301,6 @@ SEEDS_OF_OTHER_TYPES = [
         pytest.param(lambda: build_le_system(-HUGE, 1), id="le-system-huge-p"),
         pytest.param(lambda: build_le_system(2, HUGE), id="le-system-huge-i"),
         pytest.param(
-            lambda: count_points(NormalFormSpec(1), 3, budget=-HUGE), id="budget-huge"
-        ),
-        pytest.param(
             lambda: count_points(NormalFormSpec(1), 3, jobs=-HUGE), id="jobs-huge"
         ),
         pytest.param(
@@ -487,7 +485,7 @@ def _handle(*argv):
             id="closure-facets",
         ),
         pytest.param(
-            lambda: count_points(NormalFormSpec(1), MR_EXACT_BELOW, budget=10**48),
+            lambda: predicted_count(NormalFormSpec(1), MR_EXACT_BELOW),
             MR_EXACT_BELOW,
             MR_EXACT_BELOW - 1,
             id="ffcount-primality",
@@ -499,9 +497,9 @@ def _handle(*argv):
             id="ffcount-slice",
         ),
         pytest.param(
-            lambda: count_points(NormalFormSpec(1), 3, budget=8),
-            9,
-            8,
+            lambda: count_points(NormalFormSpec(1), 10007),
+            10007**2,
+            DEFAULT_BUDGET,
             id="ffcount-count",
         ),
         pytest.param(

@@ -123,17 +123,9 @@ def test_target_independence_exhaustive():
             assert len(counts) == 1
 
 
-@pytest.mark.parametrize("budget", [0, -5, True, 10.0])
-def test_count_budget_must_be_a_positive_int(budget):
-    'checked before the modulus: an even modulus does not mask it'
-    pattern = r"budget must (be an integer|satisfy budget >= 1)"
-    with pytest.raises(ValidationError, match=pattern):
-        count_points(NormalFormSpec(p=1), 4, budget=budget)
-
-
 def test_count_budget_refusal():
     with pytest.raises(BudgetError) as info:
-        count_points(NormalFormSpec(p=3), 11, budget=10**6)
+        count_points(NormalFormSpec(p=3), 11)
     assert info.value.required == 11**9
     # 10^8 has 27 bits, so past n = 27 the power is never computed.
     with pytest.raises(BudgetError, match=r"3\^28 points") as info:
