@@ -49,6 +49,16 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _report(args: argparse.Namespace, results: dict, checks: list[Check]) -> Report:
+    """The report of a subcommand: `inputs` echoes every flag it parsed."""
+    inputs = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("subcommand", "handler", "format", "out")
+    }
+    return Report(args.subcommand, inputs, results, checks)
+
+
 def cmd_invariants(args: argparse.Namespace) -> Report:
     params = core.validate_params(args.n, args.q, args.p)
     results = {
@@ -88,12 +98,7 @@ def cmd_invariants(args: argparse.Namespace) -> Report:
             "signed Lê sum equals the reduced Euler characteristic",
         )
     ]
-    return Report(
-        command="invariants",
-        inputs={"n": args.n, "q": args.q, "p": args.p},
-        results=results,
-        checks=checks,
-    )
+    return _report(args, results, checks)
 
 
 def cmd_lecycles(args: argparse.Namespace) -> Report:
@@ -162,12 +167,7 @@ def cmd_lecycles(args: argparse.Namespace) -> Report:
             f"disagreeing i: {fulton_bad}",
         )
     )
-    return Report(
-        command="lecycles",
-        inputs={"p": p, "i": args.i},
-        results={"systems": rows},
-        checks=checks,
-    )
+    return _report(args, {"systems": rows}, checks)
 
 
 def _parse_classes(text: str) -> tuple[tuple[int, int], ...]:
@@ -218,17 +218,7 @@ def cmd_chow(args: argparse.Namespace) -> Report:
         results["intersection_number"] = results["ring"]
     else:
         results["intersection_number"] = results[args.algorithm]
-    return Report(
-        command="chow",
-        inputs={
-            "n": args.n,
-            "m": args.m,
-            "classes": args.classes,
-            "algorithm": args.algorithm,
-        },
-        results=results,
-        checks=checks,
-    )
+    return _report(args, results, checks)
 
 
 _VARIABLE_TOKEN = re.compile(r"([xy])(\d+)(?:\^(\d+))?")
@@ -364,17 +354,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
             _monomial_string(zip(support, g), prefix) for g in full.generators
         )
         results["reduction"] = integral_closure.is_reduction(ideal, full)
-    return Report(
-        command="closure",
-        inputs={
-            "ideal": args.ideal,
-            "monomial": args.monomial,
-            "full": args.full,
-            "mode": args.mode,
-        },
-        results=results,
-        checks=checks,
-    )
+    return _report(args, results, checks)
 
 
 def cmd_count(args: argparse.Namespace) -> Report:
@@ -390,25 +370,15 @@ def cmd_count(args: argparse.Namespace) -> Report:
             f"observed {report.observed_count} != predicted {predicted}",
         )
     ]
-    return Report(
-        command="count",
-        inputs={
-            "p": args.p,
-            "q1": args.q1,
-            "prime": args.prime,
-            "target": args.target,
-            "jobs": args.jobs,
-        },
-        results={
-            "n": spec.n,
-            "prime": report.prime,
-            "target": report.target,
-            "observed": report.observed_count,
-            "predicted": predicted,
-            "enumerated": report.enumerated,
-        },
-        checks=checks,
-    )
+    results = {
+        "n": spec.n,
+        "prime": report.prime,
+        "target": report.target,
+        "observed": report.observed_count,
+        "predicted": predicted,
+        "enumerated": report.enumerated,
+    }
+    return _report(args, results, checks)
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:

@@ -270,9 +270,10 @@ def count_nonzero_y_slice(
     prime^q1 applied by the caller.  Disjoint slices add up to the full
     count, whatever the partition.  count_points passes `shared` to the
     slices it runs at once, so that they solve each form once between
-    them.  A slice whose y-vectors (at least one) times its p(p+1)/2
-    index pairs pass DEFAULT_BUDGET is refused before the pairs are
-    built; count_points never asks for one.
+    them.  A slice is refused before the pairs are built when its
+    histogram steps pass DEFAULT_BUDGET: y-vectors (at least one) times
+    its p(p+1)/2 index pairs times prime, the field elements each
+    pair's histogram runs over.  count_points never asks for one.
     """
     require_int("target", target)
     require_int("start", start)
@@ -290,8 +291,8 @@ def count_nonzero_y_slice(
             f"slice [{shown(start)}, {shown(stop)}) out of range for "
             f"{shown(prime)}^{shown(spec.p)} y-vectors"
         )
-    work = f"the slice [{shown(start)}, {shown(stop)}) (index-pair products)"
-    require_within(work, max(stop - start, 1) * pair_count, DEFAULT_BUDGET)
+    work = f"the slice [{shown(start)}, {shown(stop)}) (histogram steps)"
+    require_within(work, max(stop - start, 1) * pair_count * prime, DEFAULT_BUDGET)
     pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
         itertools.product(range(prime), repeat=spec.p), start, stop

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -733,6 +734,41 @@ def test_verify_rejects_bad_scope(capsys):
         main(["verify", "--scope", "everything"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+ECHO_CASES = {
+    "invariants": ["--n", "5", "--q", "3", "--p", "2"],
+    "lecycles": ["--p", "2"],
+    "chow": ["--n", "1", "--m", "1", "--classes", "1,1;1,1"],
+    "closure": ["--ideal", "y1^2", "--monomial", "y1^2"],
+    "count": ["--p", "1", "--prime", "3"],
+    "verify": ["--scope", "core", "--pmax", "2"],
+}
+
+
+def _subparsers():
+    (action,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+@pytest.mark.parametrize("subcommand", sorted(ECHO_CASES))
+def test_inputs_echo_every_flag_the_subcommand_parsed(capsys, subcommand):
+    'the flags a subparser declares, less --format and --out; verify adds sweep_limit'
+    subparsers = _subparsers()
+    assert set(ECHO_CASES) == set(subparsers)
+    dests = {
+        action.dest
+        for action in subparsers[subcommand]._actions
+        if action.dest not in ("help", "format", "out")
+    }
+    if subcommand == "verify":
+        dests.add("sweep_limit")
+    code, doc, _, _ = run_json(capsys, subcommand, *ECHO_CASES[subcommand])
+    assert code == 0
+    assert doc["command"] == subcommand
+    assert set(doc["inputs"]) == dests
 
 
 def test_out_file(capsys, tmp_path):

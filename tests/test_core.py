@@ -492,7 +492,7 @@ def _handle(*argv):
         ),
         pytest.param(
             lambda: count_nonzero_y_slice(NormalFormSpec(1), 10**8 + 7, 1, 0, 10**8 + 1),
-            10**8 + 1,
+            (10**8 + 1) * (10**8 + 7),
             DEFAULT_BUDGET,
             id="ffcount-slice",
         ),

@@ -302,7 +302,16 @@ def test_slice_work_is_bounded_by_the_default_budget(monkeypatch):
     monkeypatch.setattr(ffcount, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetError) as info:
         count_nonzero_y_slice(NormalFormSpec(2), 5, 1, 0, 25)
-    assert info.value.required == 75
+    assert info.value.required == 375
+
+
+def test_a_one_vector_slice_over_a_huge_prime_is_refused_before_any_work():
+    'one form still builds a histogram over F_prime: ~10^9 steps here, minutes'
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        count_nonzero_y_slice(NormalFormSpec(1), 1000000007, 1, 1, 2)
+    assert info.value.required == 1000000007
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize(
