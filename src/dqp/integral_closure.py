@@ -9,7 +9,12 @@ with sum mu_g * g <= a componentwise, via an integer-pivoting phase-1
 simplex on the condensed (Tucker) tableau, one column per nonbasic
 variable (Edmonds 1967, Bareiss 1968): every cell is held in `int`,
 scaled by the last pivot element, and every update divides exactly, so
-nothing is rounded and no rational is built.  Route two is
+nothing is rounded and no rational is built.  The simplex certifies its
+answer (McConnell, Mehlhorn, Näher and Schweitzer 2011): its final
+tableau gives either the weights of a convex combination of generators
+below a, or a Farkas weight w >= 0 with <w, a> < min_g <w, g>, and
+check_newton_certificate checks either in exact ints without trusting
+the simplex.  Route two is
 the valuative criterion: x^a is in the closure iff for every monomial
 curve t -> (t^{w_1}, ..., t^{w_n}) with integer w >= 0 the pullback order
 <w, a> is at least the minimal generator order min_g <w, g>.  Checking
@@ -49,6 +54,8 @@ __all__ = [
     "MonomialIdeal",
     "power_ideal",
     "in_integral_closure_newton",
+    "newton_certificate",
+    "check_newton_certificate",
     "in_integral_closure_valuative",
     "in_integral_closure_facets",
     "newton_facet_normals",
@@ -157,12 +164,58 @@ def in_integral_closure_newton(ideal: MonomialIdeal, m: tuple[int, ...]) -> bool
     decides, with no degree pre-test.  Refuses, before building any row, a
     tableau bound past NEWTON_CELL_LIMIT.
     """
+    return newton_certificate(ideal, m)[0]
+
+
+def newton_certificate(
+    ideal: MonomialIdeal, m: tuple[int, ...]
+) -> tuple[bool, tuple[int, ...]]:
+    """(member, certificate): the Newton simplex's answer and its proof.
+
+    A member's certificate is one weight lambda_g >= 0 per generator, in
+    the order of ideal.generators, with sum lambda_g * g <= (sum lambda_g) * m
+    componentwise; a non-member's is one weight w_i >= 0 per variable with
+    <w, m> < min_g <w, g>, the curve that refutes m.  Refuses, as
+    in_integral_closure_newton does, a tableau past NEWTON_CELL_LIMIT.
+    """
     ideal._check_dimension(m)
     require_newton_tableau(ideal.variable_count, len(ideal.generators))
     return _simplex_feasible(ideal.generators, m)
 
 
-def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ...]) -> bool:
+def check_newton_certificate(
+    ideal: MonomialIdeal, m: tuple[int, ...], member: bool, certificate: tuple[int, ...]
+) -> bool:
+    """True iff certificate proves the answer member for m, in exact ints.
+
+    A member needs len(ideal.generators) nonnegative ints, not all zero,
+    with sum lambda_g * g <= (sum lambda_g) * m: m lies on or above a convex
+    combination of generators.  A non-member needs variable_count
+    nonnegative ints w with <w, m> < min_g <w, g>, which forces w != 0.
+    Anything else, malformed certificates included, is False.
+    """
+    ideal._check_dimension(m)
+    gens = ideal.generators
+    if not isinstance(certificate, tuple) or not naturals(certificate):
+        return False
+    if member:
+        total = sum(certificate)
+        return (
+            len(certificate) == len(gens)
+            and total > 0
+            and all(
+                sum(map(mul, certificate, column)) <= total * a
+                for column, a in zip(zip(*gens), m)
+            )
+        )
+    return len(certificate) == ideal.variable_count and sum(
+        map(mul, certificate, m)
+    ) < min(sum(map(mul, certificate, g)) for g in gens)
+
+
+def _simplex_feasible(
+    points: tuple[tuple[int, ...], ...], bounds: tuple[int, ...]
+) -> tuple[bool, tuple[int, ...]]:
     """Phase-1 simplex: is some convex combination of the points <= bounds?
 
     One mu per point, one slack per coordinate row, and an artificial,
@@ -177,6 +230,15 @@ def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ..
     column s and stores D at (r, s).  Pivots are positive, so ratios
     compare by cross-multiplication.  Bland's rule on both choices, so
     cycling cannot occur.
+
+    Returns (feasible, certificate), both certificates read off the final
+    tableau by the labels of its rows and columns, as newton_certificate
+    describes them.  Feasible: the basic mu's right-hand sides, scale D;
+    when the artificial wins the last ratio test, that pivot is applied
+    to the right-hand side only, scale P.  Infeasible: the objective row
+    is a combination of the constraint rows with every nonbasic entry
+    <= 0 and a positive right-hand side, so minus its entry in each
+    nonbasic slack's column (0 for a basic slack) is a Farkas weight.
     """
     nvars, nrows = len(points), len(bounds)
     tableau = [[p[i] for p in points] + [bound] for i, bound in enumerate(bounds)]
@@ -192,7 +254,11 @@ def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ..
             if coeff > 0 and (label is None or columns[j] < label):
                 s, label = j, columns[j]
         if s is None:
-            return False
+            weight = [0] * nrows
+            for coeff, label in zip(objective, columns):
+                if label >= nvars:
+                    weight[label - nvars] = -coeff
+            return False, tuple(weight)
         # The artificial's row is eligible; its label, the largest, loses ties.
         pivot_row, prow = nrows, objective
         for r, row in enumerate(tableau[:nrows]):
@@ -202,7 +268,10 @@ def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ..
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[pivot_row]):
                     pivot_row, prow = r, row
         if pivot_row == nrows:
-            return True
+            pivot, value = objective[s], objective[nvars]
+            values = [(row[nvars] * pivot - row[s] * value) // scale for row in tableau]
+            values[nrows] = value
+            return True, _convex_weights(basis[:nrows] + [columns[s]], values, nvars)
         pivot = prow[s]
         for r, row in enumerate(tableau):
             if r != pivot_row:
@@ -214,7 +283,16 @@ def _simplex_feasible(points: tuple[tuple[int, ...], ...], bounds: tuple[int, ..
         scale = pivot
         objective = tableau[nrows]
         basis[pivot_row], columns[s] = columns[s], basis[pivot_row]
-    return True
+    return True, _convex_weights(basis, [row[nvars] for row in tableau], nvars)
+
+
+def _convex_weights(labels: list[int], values: list[int], nvars: int) -> tuple[int, ...]:
+    """Each mu's value: the right-hand side of its row, 0 where it is nonbasic."""
+    weights = [0] * nvars
+    for label, value in zip(labels, values):
+        if label < nvars:
+            weights[label] = value
+    return tuple(weights)
 
 
 def in_integral_closure_valuative(
@@ -390,6 +468,6 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     if not all(full.contains_monomial(g) for g in sub.generators):
         return False
     return all(
-        sub.contains_monomial(g) or _simplex_feasible(sub.generators, g)
+        sub.contains_monomial(g) or _simplex_feasible(sub.generators, g)[0]
         for g in full.generators
     )

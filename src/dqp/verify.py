@@ -25,12 +25,15 @@ configurable scale:
            interpolated from observed counts against the closed form
            and the reduced Euler characteristic.
 
-Work that cannot change an outcome is skipped.  witness-refutation-soundness
-draws a witness battery and runs the valuative route only for Newton
-members: a non-member cannot be refuted unsoundly.  is_reduction, behind
-the square-ideal family and transitivity, runs the simplex only for the
-generators of the larger ideal that the smaller one does not already
-contain, since an ideal lies in its own integral closure.
+witness-refutation-soundness reads the Newton simplex's certificate for
+each seeded case and trusts neither the simplex nor the curve criterion:
+the certificate must check in exact ints, no unit curve and not the
+all-ones curve may refute a member, and a non-member's Farkas weight,
+taken as a curve, must refute it.  Work that cannot change an outcome is
+skipped: is_reduction, behind the square-ideal family and transitivity,
+runs the simplex only for the generators of the larger ideal that the
+smaller one does not already contain, since an ideal lies in its own
+integral closure.
 
 All randomness is derived from a per-case string seed.  `_cases` is the
 one place that derives case c's random stream from (seed, tag, c), so a
@@ -169,15 +172,14 @@ def core_checks(pmax: int = DEFAULT_PMAX) -> list[Check]:
 
 
 def _cases(seed: int | str, tag: str, count: int):
-    """Case c = 0..count-1 of a seeded check: (c, its random stream, its key).
+    """Case c = 0..count-1 of a seeded check: (c, its random stream).
 
     The key f"{seed}:{tag}:{c}" seeds the stream, so a fixed seed redraws
     every case of every check; no other code derives a stream.  The
     suites that call it refuse a seed through require_seed first.
     """
     for c in range(count):
-        key = f"{seed}:{tag}:{c}"
-        yield c, random.Random(key), key
+        yield c, random.Random(f"{seed}:{tag}:{c}")
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -255,15 +257,15 @@ def chow_checks(seed: int | str = 0) -> list[Check]:
 
     cases = 200
     quarter = cases // 4
-    dual_bad = [c for c, rng, _ in _cases(seed, "chow-dual", cases) if disagrees(rng)]
+    dual_bad = [c for c, rng in _cases(seed, "chow-dual", cases) if disagrees(rng)]
     perm_bad = [
-        c for c, rng, _ in _cases(seed, "chow-perm", quarter) if reordering_moves(rng)
+        c for c, rng in _cases(seed, "chow-perm", quarter) if reordering_moves(rng)
     ]
     linear_bad = [
-        c for c, rng, _ in _cases(seed, "chow-linear", quarter) if split_breaks(rng)
+        c for c, rng in _cases(seed, "chow-linear", quarter) if split_breaks(rng)
     ]
     vanish_bad = [
-        c for c, rng, _ in _cases(seed, "chow-vanish", quarter) if survives(rng)
+        c for c, rng in _cases(seed, "chow-vanish", quarter) if survives(rng)
     ]
     return [
         Check.of(
@@ -328,6 +330,8 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
     require_seed(seed)
     # Looked up per call, so a patched or traced route is the one checked.
     newton = integral_closure.in_integral_closure_newton
+    certify = integral_closure.newton_certificate
+    valuative = integral_closure.in_integral_closure_valuative
     is_reduction = integral_closure.is_reduction
     cases = 100
 
@@ -337,7 +341,7 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
 
     dual_bad: list[int] = []
     degree_bad: list[int] = []
-    for c, rng, _ in _cases(seed, "closure-dual", cases):
+    for c, rng in _cases(seed, "closure-dual", cases):
         ideal, m = _membership_case(rng)
         member = newton(ideal, m)
         if member != integral_closure.in_integral_closure_facets(ideal, m):
@@ -345,14 +349,17 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
         if member and sum(m) < min(map(sum, ideal.generators)):
             degree_bad.append(c)
 
-    def unsound(rng: random.Random, key: str) -> bool:
+    def uncertified(rng: random.Random) -> bool:
         ideal, m = _membership_case(rng)
-        # Finite witness lists can only refute, never certify, so only a
-        # Newton member can be refuted unsoundly: no battery for the rest.
-        if not newton(ideal, m):
-            return False
-        witnesses = integral_closure.default_witnesses(ideal.variable_count, seed=key)
-        return not integral_closure.in_integral_closure_valuative(ideal, m, witnesses)
+        member, certificate = certify(ideal, m)
+        if not integral_closure.check_newton_certificate(ideal, m, member, certificate):
+            return True
+        if member:
+            n = ideal.variable_count
+            curves = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            curves.append((1,) * n)
+            return not valuative(ideal, m, curves)
+        return valuative(ideal, m, [certificate])
 
     def shrinks(rng: random.Random) -> bool:
         ideal, m = _membership_case(rng)
@@ -369,15 +376,15 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
 
     half = cases // 2
     witness_bad = [
-        c for c, rng, key in _cases(seed, "closure-wit", half) if unsound(rng, key)
+        c for c, rng in _cases(seed, "closure-wit", half) if uncertified(rng)
     ]
-    mono_bad = [c for c, rng, _ in _cases(seed, "closure-mono", half) if shrinks(rng)]
+    mono_bad = [c for c, rng in _cases(seed, "closure-mono", half) if shrinks(rng)]
 
     trans_bad: list[tuple[int, int]] = []
     for p in range(2, 5):
         squares, squared = _square_reduction_pair(p)
         whole = is_reduction(squares, squared)
-        for c, rng, _ in _cases(seed, f"closure-trans:{p}", 5):
+        for c, rng in _cases(seed, f"closure-trans:{p}", 5):
             picked = tuple(g for g in squared.generators if rng.random() < 0.5)
             middle = integral_closure.MonomialIdeal(p, squares.generators + picked)
             legs = is_reduction(squares, middle) and is_reduction(middle, squared)
@@ -406,8 +413,8 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
         Check.of(
             "witness-refutation-soundness",
             not witness_bad,
-            f"{half} seeded witness batteries",
-            f"unsound case ids: {witness_bad}",
+            f"{half} seeded Newton certificates, checked in exact ints and by curves",
+            f"uncertified case ids: {witness_bad}",
         ),
         Check.of(
             "membership-monotonicity",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import threading
@@ -14,12 +15,14 @@ from dqp.integral_closure import (
     NEWTON_CELL_LIMIT,
     POWER_SUM_LIMIT,
     MonomialIdeal,
+    check_newton_certificate,
     default_witnesses,
     facet_ray_bound,
     in_integral_closure_facets,
     in_integral_closure_newton,
     in_integral_closure_valuative,
     is_reduction,
+    newton_certificate,
     newton_facet_normals,
     power_ideal,
 )
@@ -48,6 +51,8 @@ def test_monomial_validation():
             lambda: MonomialIdeal(2, ((2, 0), bad)),
             lambda: j.contains_monomial(bad),
             lambda: in_integral_closure_newton(j, bad),
+            lambda: newton_certificate(j, bad),
+            lambda: check_newton_certificate(j, bad, True, (1, 1)),
             lambda: in_integral_closure_facets(j, bad),
             lambda: in_integral_closure_valuative(j, bad, [(1, 1)]),
         ]
@@ -523,29 +528,79 @@ def full_tableau_feasible(points, bounds):
     return True
 
 
-def test_condensed_simplex_matches_the_full_tableau():
-    'small entries make ratio ties common; both answers occur thousands of times'
+@functools.cache
+def _simplex_cases():
+    "seeded (points, bounds) instances and the full tableau's answer on each"
     rng = random.Random("test:condensed-simplex")
     cases = []
     for _ in range(20000):
         n, g, top = rng.randint(1, 6), rng.randint(1, 7), rng.choice((2, 3, 5, 9))
         points = [tuple(rng.randrange(top) for _ in range(n)) for _ in range(g)]
         cases.append((points, tuple(rng.randrange(top) for _ in range(n))))
+    return cases, [full_tableau_feasible(points, bounds) for points, bounds in cases]
+
+
+def _decide_on_a_thread(decide, cases):
+    'decide every case; a broken pivot can cycle, which fails here rather than hanging the run'
     answers = []
 
-    def decide():
-        for points, bounds in cases:
-            answers.append(integral_closure._simplex_feasible(points, bounds))
+    def run():
+        for case in cases:
+            answers.append(decide(case))
 
-    # a broken pivot can cycle; that fails here rather than hanging the run
-    worker = threading.Thread(target=decide, daemon=True)
+    worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive(), f"the condensed simplex cycled on {cases[len(answers)]}"
-    expected = [full_tableau_feasible(points, bounds) for points, bounds in cases]
+    return answers
+
+
+def test_condensed_simplex_matches_the_full_tableau():
+    'small entries make ratio ties common; both answers occur thousands of times'
+    cases, expected = _simplex_cases()
+    answers = _decide_on_a_thread(
+        lambda case: integral_closure._simplex_feasible(*case)[0], cases
+    )
     wrong = [case for case, a, b in zip(cases, answers, expected) if a != b]
     assert not wrong, wrong[:3]
     assert 4000 < sum(expected) < 16000
+
+
+def test_every_newton_certificate_checks():
+    "the same instances as ideals: each answer is the full tableau's, and each proof checks"
+    cases, expected = _simplex_cases()
+    asked = [(MonomialIdeal(len(m), tuple(points)), m) for points, m in cases]
+    proofs = _decide_on_a_thread(lambda case: newton_certificate(*case), asked)
+    assert [member for member, _ in proofs] == expected
+    unproved = [
+        (i.generators, m, proof)
+        for (i, m), proof in zip(asked, proofs)
+        if not check_newton_certificate(i, m, *proof)
+    ]
+    assert not unproved, unproved[:3]
+
+
+def test_certificate_check_examples():
+    'the check trusts no proof: a wrong or malformed one is False, never an error'
+    j = squares_ideal(2)
+    assert newton_certificate(j, (1, 1)) == (True, (2, 2))
+    assert newton_certificate(j, (1, 0)) == (False, (2, 2))
+    assert check_newton_certificate(j, (1, 1), True, (1, 1))
+    assert check_newton_certificate(j, (1, 0), False, (1, 1))
+    assert check_newton_certificate(j, (3, 0), True, (1, 0))
+    wrong = [
+        ((1, 1), True, (1, 0)),  # y1^2 is not below y1*y2
+        ((1, 1), True, (0, 0)),  # no weight at all
+        ((1, 1), False, (1, 1)),  # the curve (1, 1) does not refute y1*y2
+        ((1, 0), False, (0, 1)),  # <w, m> = 0 is not below min_g <w, g> = 0
+        ((1, 0), False, (0, 0)),
+        ((1, 0), True, (2, 2)),  # the proof of the other answer
+    ]
+    for m, member, proof in wrong:
+        assert not check_newton_certificate(j, m, member, proof)
+    for bad in [(1, -1), (1,), (1, 1, 1), [1, 1], (True, 1), (1.0, 1), None]:
+        assert not check_newton_certificate(j, (1, 1), True, bad)
+        assert not check_newton_certificate(j, (1, 0), False, bad)
 
 
 def test_valuative_examples():

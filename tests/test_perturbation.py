@@ -32,8 +32,6 @@ ROUTES = [
 
 # Wrong results that no verify check can notice.
 KNOWN_SURVIVORS = {
-    "integral_closure.default_witnesses": "a shorter witness battery refutes "
-    "less, so it can never make the valuative route unsound",
     "integral_closure.facet_ray_bound": "a bound, not an answer: one more "
     "admitted ray changes no membership",
 }
@@ -48,6 +46,7 @@ NEVER_PERTURBED = {
     "le_engine.require_le_systems": "a size check: returns None",
     "integral_closure.power_ideal": "returns an ideal, the input of a route",
     "integral_closure.require_newton_tableau": "a size check: returns None",
+    "integral_closure.default_witnesses": "verify no longer calls it",
     "ffcount.eval_normal_form": "verify never calls it: it reads one point, "
     "and the tests compare it with the counter",
 }
@@ -62,8 +61,9 @@ def _wrong(result):
     if isinstance(result, dict) and result:
         top = max(result)
         return {**result, top: result[top] + 1}
-    if isinstance(result, tuple) and result and isinstance(result[-1], int):
-        return (*result[:-1], result[-1] + 1)
+    if isinstance(result, tuple) and result:
+        last = _wrong(result[-1])
+        return None if last is None else (*result[:-1], last)
     if isinstance(result, list) and result:
         return result[:-1]
     if isinstance(result, PointCountReport):
@@ -126,6 +126,7 @@ CHOW = ("computed", "le_engine.underlying_multiplicity_via_chow")
 RING = ("computed", "chow.intersection_number_ring")
 FULTON = ("computed", "chow.intersection_number_fulton")
 NEWTON = ("computed", "integral_closure.in_integral_closure_newton")
+CERTIFIED = ("computed", "integral_closure.newton_certificate")
 REDUCTION = ("computed", "integral_closure.is_reduction")
 COUNT = ("computed", "ffcount.count_points")
 POLYNOMIAL = ("computed", "ffcount.counting_polynomial")
@@ -160,7 +161,12 @@ SIDES = [
     ("member-degree-necessity", NEWTON, ("computed", "least generator degree")),
     (
         "witness-refutation-soundness",
-        NEWTON,
+        CERTIFIED,
+        ("computed", "integral_closure.check_newton_certificate"),
+    ),
+    (
+        "witness-refutation-soundness",
+        CERTIFIED,
         ("computed", "integral_closure.in_integral_closure_valuative"),
     ),
     ("membership-monotonicity", NEWTON, NEWTON),

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -165,7 +166,7 @@ def test_skipping_one_generator_row_fails_the_facet_check(monkeypatch):
 
 
 def test_a_valuative_route_refuting_every_member_fails_the_witness_check(monkeypatch):
-    'batteries run only for Newton members, and each of those can still be refuted'
+    'no unit curve and not the all-ones curve may refute a certified member'
     monkeypatch.setattr(
         integral_closure, "in_integral_closure_valuative", lambda ideal, m, w: False
     )
@@ -173,9 +174,35 @@ def test_a_valuative_route_refuting_every_member_fails_the_witness_check(monkeyp
     assert failing == {"witness-refutation-soundness"}
 
 
+def test_a_valuative_route_refuting_nothing_fails_the_witness_check(monkeypatch):
+    "a non-member's Farkas weight, taken as a curve, must refute it"
+    monkeypatch.setattr(
+        integral_closure, "in_integral_closure_valuative", lambda ideal, m, w: True
+    )
+    failing = {c.name for c in closure_checks() if not c.passed}
+    assert failing == {"witness-refutation-soundness"}
+
+
+def test_a_stale_pivot_label_fails_only_the_certificate_check(monkeypatch):
+    'the leaving variable never written into its column: answers hold, proofs do not'
+    source = inspect.getsource(integral_closure._simplex_feasible)
+    swap = "basis[pivot_row], columns[s] = columns[s], basis[pivot_row]"
+    assert source.count(swap) == 1
+    namespace = dict(vars(integral_closure))
+    exec(source.replace(swap, "basis[pivot_row] = columns[s]"), namespace)
+    monkeypatch.setattr(
+        integral_closure, "_simplex_feasible", namespace["_simplex_feasible"]
+    )
+    for seed in (0, 1, 2, 3, 42, "a"):
+        failing = {c.name for c in closure_checks(seed=seed) if not c.passed}
+        assert failing == {"witness-refutation-soundness"}, seed
+
+
 def test_an_always_feasible_simplex_fails_the_degree_check(monkeypatch):
     'no degree pre-test answers for the simplex, so a member below the least degree is reported'
-    monkeypatch.setattr(integral_closure, "_simplex_feasible", lambda points, bounds: True)
+    monkeypatch.setattr(
+        integral_closure, "_simplex_feasible", lambda points, bounds: (True, ())
+    )
     failing = {c.name for c in closure_checks() if not c.passed}
     assert failing == {
         "member-degree-necessity",
@@ -191,7 +218,9 @@ def test_a_simplex_refusing_cross_terms_fails_the_square_family(monkeypatch):
         integral_closure,
         "_simplex_feasible",
         lambda points, bounds: (
-            not (sum(bounds) == 2 and max(bounds) == 1) and feasible(points, bounds)
+            (False, ())
+            if sum(bounds) == 2 and max(bounds) == 1
+            else feasible(points, bounds)
         ),
     )
     checks = {check.name: check for check in closure_checks()}
@@ -270,9 +299,9 @@ def test_run_verify_validation():
         pytest.param(
             "witness-refutation-soundness", closure_checks, integral_closure,
             "in_integral_closure_valuative",
-            lambda f: lambda ideal, m, w: w[-1][0] % 2 == 0 and f(ideal, m, w),
-            "unsound case ids: [9, 12, 16, 17, 18, 23, 25, 27, 31, 34, 35, 36, 42, "
-            "47, 48]",
+            lambda f: lambda ideal, m, w: f(ideal, m, w) != (sum(m) % 3 == 0),
+            "uncertified case ids: [0, 1, 3, 4, 5, 8, 10, 11, 12, 15, 16, 21, 25, 26, "
+            "29, 31, 32, 33, 40, 46, 47, 49]",
             id="witness-refutation-soundness",
         ),
         pytest.param(
