@@ -310,28 +310,27 @@ def cmd_closure(args: argparse.Namespace) -> Report:
         len(support), tuple(_build_monomial(e, support) for e in ideal_exponents)
     )
     checks: list[Check] = []
+    generators = [_monomial_string(zip(support, g), prefix) for g in ideal.generators]
     results: dict = {
-        "ideal": ", ".join(
-            _monomial_string(zip(support, g), prefix) for g in ideal.generators
-        ),
+        "ideal": ", ".join(generators),
         "variable_count": variable_count,
         "mode": args.mode,
     }
     if args.mode == "membership":
         m = _build_monomial(monomial_exponents, support)
-        member = integral_closure.in_integral_closure_newton(ideal, m)
+        member, certificate = integral_closure.newton_certificate(ideal, m)
         results["monomial"] = _monomial_string(
             sorted(monomial_exponents.items()), prefix
         )
         results["member"] = member
-        witnesses = integral_closure.default_witnesses(len(support), seed=0)
-        battery = integral_closure.in_integral_closure_valuative(ideal, m, witnesses)
-        results["witness_battery"] = battery
+        # A member's weights are per generator, a refuting curve's per variable.
+        labels = generators if member else [f"{prefix}{i + 1}" for i in support]
+        results["certificate"] = [list(pair) for pair in zip(labels, certificate)]
         checks.append(
             Check.of(
                 "witness-refutation-soundness",
-                not member or battery,
-                "finite curve battery cannot refute a Newton member",
+                integral_closure.check_newton_certificate(ideal, m, member, certificate),
+                "the Newton simplex's certificate checks in exact ints",
             )
         )
         try:  # the facet route refuses before reading a generator: then skip it

@@ -18,9 +18,9 @@ configurable scale:
            seeded random monomial ideals, the square-ideal reduction
            family, monotonicity, and transitivity of reduction;
   ffcount  exhaustive finite-field counts vs the fibration prediction
-           for every shape that fits the enumeration limit (one base
-           count per matrix size and prime, scaled by prime^q1 for the
-           unread coordinates, as count_points scales it), target and
+           for every shape that fits the enumeration limit (one count
+           per matrix size and prime, at the largest q1 that fits, so
+           count_points' own prime^q1 factor is read), target and
            partition independence, and the counting polynomial
            interpolated from observed counts against the closed form
            and the reduced Euler characteristic.
@@ -432,7 +432,7 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
 
 
 def _sweep_shapes():
-    """Every (q1 = 0 spec, prime, q1 range) with prime ** n within the enumeration limit."""
+    """Every (spec, prime) with prime ** n <= SWEEP_LIMIT, at the largest q1 that fits."""
     for p in itertools.count(1):
         base = ffcount.NormalFormSpec(p=p, q1=0)
         if min(prime**base.n for prime in SWEEP_PRIMES) > SWEEP_LIMIT:
@@ -442,20 +442,20 @@ def _sweep_shapes():
             while prime ** (base.n + q1) <= SWEEP_LIMIT:
                 q1 += 1
             if q1:
-                yield base, prime, range(q1)
+                yield ffcount.NormalFormSpec(p=p, q1=q1 - 1), prime
 
 
 def ffcount_checks() -> list[Check]:
     sweep_bad: list[tuple[int, int, int]] = []
     sweep_cases = 0
-    for base, prime, q1s in _sweep_shapes():
-        # The q1 unread coordinates multiply the q1 = 0 count by prime^q1,
-        # exactly as count_points does, so one count serves every q1.
-        observed = ffcount.count_points(base, prime).observed_count
-        for q1 in q1s:
+    for top, prime in _sweep_shapes():
+        # count_points scales by prime^q1 for the unread coordinates, a flat
+        # factor: one count at the largest q1 serves every row and tests it.
+        observed = ffcount.count_points(top, prime).observed_count
+        for q1 in range(top.q1 + 1):
             sweep_cases += 1
-            spec = ffcount.NormalFormSpec(p=base.p, q1=q1)
-            if observed * prime**q1 != ffcount.predicted_count(spec, prime):
+            spec = ffcount.NormalFormSpec(p=top.p, q1=q1)
+            if ffcount.predicted_count(spec, prime) * prime ** (top.q1 - q1) != observed:
                 sweep_bad.append((spec.p, q1, prime))
 
     target_bad: list[tuple[int, int, int]] = []

@@ -319,6 +319,7 @@ def test_closure_membership(capsys):
     assert code == 0
     assert doc["results"]["member"] is True
     assert doc["results"]["facet_route"] is True
+    assert doc["results"]["certificate"] == [["y1^2", 2], ["y2^2", 2]]
 
 
 def _degree_ideal(variables, degree):
@@ -382,11 +383,41 @@ def test_closure_skips_the_facet_route_it_refuses(capsys, monkeypatch):
 
 
 def test_closure_non_member(capsys):
+    'the refuting curve is over the variables the ideal uses: y2 gets no weight'
+    for ideal, monomial, certificate in (
+        ("y1^2,y2^2", "y1", [["y1", 2], ["y2", 2]]),
+        ("y1^2,y3^2", "y3", [["y1", 2], ["y3", 2]]),
+    ):
+        code, doc, _, _ = run_json(
+            capsys, "closure", "--ideal", ideal, "--monomial", monomial
+        )
+        assert code == 0
+        assert doc["results"]["member"] is False
+        assert doc["results"]["certificate"] == certificate
+
+
+@pytest.mark.parametrize("monomial", ["y1*y2", "y1"], ids=["member", "non-member"])
+def test_closure_fails_a_wrong_certificate(capsys, monkeypatch, monomial):
+    'one simplex run gives the answer and its proof; an all-zero proof fails the check'
+    original = integral_closure._simplex_feasible
+    calls = []
+
+    def unproved(points, bounds):
+        calls.append(bounds)
+        feasible, certificate = original(points, bounds)
+        return feasible, (0,) * len(certificate)
+
+    monkeypatch.setattr(integral_closure, "_simplex_feasible", unproved)
     code, doc, _, _ = run_json(
-        capsys, "closure", "--ideal", "y1^2,y2^2", "--monomial", "y1"
+        capsys, "closure", "--ideal", "y1^2,y2^2", "--monomial", monomial
     )
-    assert code == 0
-    assert doc["results"]["member"] is False
+    assert len(calls) == 1
+    assert code == 1
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert status == {
+        "witness-refutation-soundness": "fail",
+        "newton-vs-facet-enumeration": "pass",
+    }
 
 
 def test_closure_reduction_mode(capsys):
@@ -410,15 +441,15 @@ def test_closure_reduction_false_case(capsys):
 
 
 def test_closure_oversized_tableau_refused(capsys, monkeypatch):
-    'generators in 31 distinct variables: refused before any tuple or battery'
+    'generators in 31 distinct variables: refused before any tuple or simplex'
     def no_tuples(*args, **kwargs):
         raise AssertionError("exponent tuple built for a refused request")
 
-    def no_witnesses(*args, **kwargs):
-        raise AssertionError("witness battery built for a refused request")
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("simplex run for a refused request")
 
     monkeypatch.setattr(cli, "_build_monomial", no_tuples)
-    monkeypatch.setattr(integral_closure, "default_witnesses", no_witnesses)
+    monkeypatch.setattr(integral_closure, "_simplex_feasible", no_simplex)
     variables = [f"y{i}" for i in range(1, 32)]
     code, out, err = run(
         capsys, "closure", "--ideal", ",".join(variables), "--monomial", "y1"

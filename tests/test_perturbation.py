@@ -46,7 +46,8 @@ NEVER_PERTURBED = {
     "le_engine.require_le_systems": "a size check: returns None",
     "integral_closure.power_ideal": "returns an ideal, the input of a route",
     "integral_closure.require_newton_tableau": "a size check: returns None",
-    "integral_closure.default_witnesses": "verify no longer calls it",
+    "integral_closure.default_witnesses": "no command calls it: only "
+    "perfbench's span targets name it (item 6 deletes it)",
     "ffcount.eval_normal_form": "verify never calls it: it reads one point, "
     "and the tests compare it with the counter",
 }

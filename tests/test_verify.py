@@ -64,6 +64,21 @@ def test_one_wrong_base_count_fails_every_row_of_its_pair(monkeypatch):
     assert not checks["observed-equals-predicted"].passed
 
 
+def test_a_wrong_q1_factor_fails_the_count_sweep(monkeypatch):
+    'the sweep reads count_points at q1 > 0, so its prime^q1 factor is checked'
+    original = ffcount.count_points
+
+    def overscaled(spec, prime, *args, **kwargs):
+        report = original(spec, prime, *args, **kwargs)
+        if spec.q1:
+            report = replace(report, observed_count=report.observed_count * prime)
+        return report
+
+    monkeypatch.setattr(ffcount, "count_points", overscaled)
+    passed = {check.name: check.passed for check in ffcount_checks()}
+    assert passed["observed-equals-predicted"] is False
+
+
 def test_a_failing_whole_chain_fails_every_transitivity_case(monkeypatch):
     'squares -> squared is checked once per p and reported for each of its chains'
     pairs = {_square_reduction_pair(p) for p in range(2, 5)}
