@@ -286,6 +286,16 @@ def _simplex_feasible(
     return True, _convex_weights(basis, [row[nvars] for row in tableau], nvars)
 
 
+def _on_support(
+    points: tuple[tuple[int, ...], ...], bounds: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The same problem on bounds' support: a point positive off it must weigh 0."""
+    support = [i for i, bound in enumerate(bounds) if bound]
+    zeros = [i for i, bound in enumerate(bounds) if not bound]
+    kept = [[p[i] for i in support] for p in points if not any(p[i] for i in zeros)]
+    return tuple(map(tuple, kept)), tuple([bounds[i] for i in support])
+
+
 def _convex_weights(labels: list[int], values: list[int], nvars: int) -> tuple[int, ...]:
     """Each mu's value: the right-hand side of its row, 0 where it is nonbasic."""
     weights = [0] * nvars
@@ -454,10 +464,14 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     """True iff sub sits inside full and full's generators are integral over sub.
 
     A generator of full that sub already contains needs no simplex, since
-    an ideal lies in its integral closure.  The tableau budget is checked
-    once, before any generator, so an oversized sub is refused whichever
-    generators skip the simplex; full's generators were validated when
-    full was built, so they go to the simplex unchecked.
+    an ideal lies in its integral closure.  Each other generator g is
+    solved on its support alone: a generator of sub positive where g is 0
+    can carry no weight in sum mu_h * h <= g, and g's zero rows then read
+    0 <= 0, so dropping both keeps the answer exact.  The tableau budget,
+    on the full (n + 1)(g + n + 1) rule, is checked once, before any
+    generator, so an oversized sub is refused whichever generators skip the
+    simplex; full's generators were validated when full was built, so they
+    go to the simplex unchecked.
     """
     if sub.variable_count != full.variable_count:
         raise ValidationError(
@@ -468,6 +482,6 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     if not all(full.contains_monomial(g) for g in sub.generators):
         return False
     return all(
-        sub.contains_monomial(g) or _simplex_feasible(sub.generators, g)[0]
+        sub.contains_monomial(g) or _simplex_feasible(*_on_support(sub.generators, g))[0]
         for g in full.generators
     )

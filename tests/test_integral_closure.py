@@ -4,7 +4,7 @@ import random
 import threading
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -746,21 +746,18 @@ def test_generators_already_in_sub_never_reach_the_simplex(monkeypatch):
 
 
 def test_the_simplex_runs_once_per_cross_term(monkeypatch):
-    'sub holds the squares, so the simplex solves exactly the cross terms y_i * y_j'
+    'each cross term y_i * y_j is solved once, on its support: 2 rows over y_i^2, y_j^2'
     feasible, solved = integral_closure._simplex_feasible, []
 
     def counted(points, bounds):
-        solved.append(bounds)
+        solved.append((points, bounds))
         return feasible(points, bounds)
 
     monkeypatch.setattr(integral_closure, "_simplex_feasible", counted)
     for p in range(1, 7):
         solved.clear()
         assert is_reduction(squares_ideal(p), power_ideal(maximal_ideal(p), 2))
-        assert sorted(solved) == sorted(
-            tuple(int(k in (i, j)) for k in range(p))
-            for i, j in itertools.combinations(range(p), 2)
-        )
+        assert solved == [(((2, 0), (0, 2)), (1, 1))] * comb(p, 2)
 
 
 def test_reduction_fails_when_not_contained():
@@ -768,3 +765,45 @@ def test_reduction_fails_when_not_contained():
     sub = ideal([1, 1])
     full = squares_ideal(2)
     assert not is_reduction(sub, full)
+
+
+def test_a_generator_off_the_support_carries_no_weight():
+    'projected onto the support of g, y1*y2 would reach g = y1 and y1^2 would reach y2*y3'
+    assert not is_reduction(ideal([1, 1]), ideal([1, 0]))
+    squares = ideal([2, 0, 0], [0, 0, 2])
+    assert not is_reduction(squares, ideal([2, 0, 0], [0, 1, 1], [0, 0, 2]))
+    assert is_reduction(squares, ideal([2, 0, 0], [1, 0, 1], [0, 0, 2]))
+
+
+def _sparse_monomial(rng, n, top):
+    'a monomial on a random nonempty set of about half the variables'
+    support = rng.sample(range(n), rng.randint(1, max(1, n // 2 + rng.randint(0, 1))))
+    return tuple(rng.randint(1, top) if i in support else 0 for i in range(n))
+
+
+def _nudged_mean(rng, gens):
+    'the rounded-up mean of a few generators, integral over them; 1 time in 3 one less somewhere'
+    picked = rng.sample(gens, min(len(gens), rng.randint(2, 3)))
+    mean = [-(-sum(column) // len(picked)) for column in zip(*picked)]
+    support = [i for i, e in enumerate(mean) if e]
+    if support and rng.random() < 1 / 3:
+        mean[rng.choice(support)] -= 1
+    return tuple(mean)
+
+
+def test_is_reduction_vs_facets_seeded():
+    'sub inside full, zero exponents common: each generator of full is in sub or passes the facets'
+    answers = []
+    for case in range(2000):
+        rng = random.Random(f"test:reduction-facets:{case}")
+        n = rng.randint(1, 4)
+        sub = ideal(*(_sparse_monomial(rng, n, 4) for _ in range(rng.randint(2, 5))))
+        extra = tuple(_nudged_mean(rng, sub.generators) for _ in range(rng.randint(1, 3)))
+        full = MonomialIdeal(n, sub.generators + extra)
+        expected = all(
+            sub.contains_monomial(g) or in_integral_closure_facets(sub, g)
+            for g in full.generators
+        )
+        assert is_reduction(sub, full) == expected, (sub, full)
+        answers.append(expected)
+    assert 500 < answers.count(False) < 1500

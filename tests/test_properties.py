@@ -194,6 +194,32 @@ def test_closure_cli_answers_equal_dense_library_calls(request_):
     assert _closure(ideal, full=full) == reduction
 
 
+sparse_exponents = st.one_of(st.just(0), st.integers(1, 4))
+
+
+@SMALL
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[sparse_exponents] * n), min_size=1, max_size=5),
+            st.lists(st.tuples(*[sparse_exponents] * n), min_size=1, max_size=3),
+        )
+    )
+)
+@example(([(2, 0, 0), (0, 0, 2)], [(1, 0, 1)]))
+@example(([(2, 0, 0), (0, 0, 2)], [(0, 1, 1)]))
+def test_reduction_agrees_with_the_facet_route(case):
+    'sub inside full: a reduction iff each generator of full is in sub or passes the facets'
+    gens, extra = case
+    n = len(gens[0])
+    sub = MonomialIdeal(n, tuple(gens))
+    full = MonomialIdeal(n, sub.generators + tuple(extra))
+    expected = all(
+        sub.contains_monomial(g) or in_integral_closure_facets(sub, g) for g in full.generators
+    )
+    assert is_reduction(sub, full) == expected
+
+
 def _divides(g, m):
     return all(map(le, g, m))
 
