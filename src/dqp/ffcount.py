@@ -35,6 +35,7 @@ library is used.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import threading
@@ -48,7 +49,6 @@ from .errors import CheckError, ValidationError, is_int, require_int, require_wi
 __all__ = [
     "NormalFormSpec",
     "PointCountReport",
-    "eval_normal_form",
     "predicted_count",
     "count_points",
     "count_nonzero_y_slice",
@@ -106,59 +106,22 @@ def _require_odd_modulus(prime: int) -> None:
         raise ValidationError(f"the modulus must be an odd prime (got {shown(prime)})")
 
 
-# Miller-Rabin with the first 12 prime bases is exact below the least
-# composite that passes all of them, 318665857834031151167461 ~ 3.2e23
-# (Sorenson and Webster, 2017); larger moduli are refused rather than
-# given a probabilistic answer.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
-
-
 def _is_odd_prime(n: int) -> bool:
-    """Miller-Rabin over _MR_BASES: exact for odd n with 3 <= n < _MR_EXACT_BELOW."""
-    if n in _MR_BASES:
-        return True
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in _MR_BASES:
-        x = pow(base, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by the odd numbers up to isqrt(n): exact for odd n >= 3."""
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def _require_odd_prime(prime: int) -> None:
+    """Refuse a modulus that is even, composite or past the counter's own limit.
+
+    Every count and slice meets its points or steps limit, at least the
+    modulus, before this test: so DEFAULT_BUDGET refuses no modulus they
+    admit, and caps trial division at 5000 odd divisors.
+    """
     _require_odd_modulus(prime)
-    require_within("exact primality (the modulus)", prime, _MR_EXACT_BELOW - 1)
+    require_within("the modulus", prime, DEFAULT_BUDGET)
     if not _is_odd_prime(prime):
         raise ValidationError(f"the modulus must be an odd prime (got {shown(prime)})")
-
-
-def eval_normal_form(
-    spec: NormalFormSpec, point: tuple[int, ...], prime: int
-) -> int:
-    """Value of sum_{i<=j} x_{ij} y_i y_j at one point of F_prime^n."""
-    _require_odd_prime(prime)
-    if len(point) != spec.n:
-        raise ValidationError(
-            f"point has {len(point)} coordinates, the normal form needs {shown(spec.n)}"
-        )
-    x = point[: spec.matrix_variable_count]
-    y = point[spec.matrix_variable_count + spec.q1 :]
-    total = 0
-    idx = 0
-    for i in range(spec.p):
-        for j in range(i, spec.p):
-            total += x[idx] * y[i] * y[j]
-            idx += 1
-    return total % prime
 
 
 def predicted_count(spec: NormalFormSpec, prime: int) -> int:
@@ -273,26 +236,28 @@ def count_nonzero_y_slice(
     them.  A slice is refused before the pairs are built when its
     histogram steps pass DEFAULT_BUDGET: y-vectors (at least one) times
     its p(p+1)/2 index pairs times prime, the field elements each
-    pair's histogram runs over.  count_points never asks for one.
+    pair's histogram runs over, before the modulus is tested for
+    primality.  count_points never asks for one.
     """
     require_int("target", target)
     require_int("start", start)
     require_int("stop", stop)
-    _require_odd_prime(prime)
+    _require_odd_modulus(prime)
     if not 0 < target % prime:
         raise ValidationError(
             f"target must be nonzero mod {shown(prime)} (got {shown(target)})"
         )
-    pair_count = spec.matrix_variable_count
-    # Past the budget in pairs alone the bound below refuses any range, so
-    # prime^p is formed only for p(p+1)/2 <= DEFAULT_BUDGET.
-    if pair_count <= DEFAULT_BUDGET and not 0 <= start <= stop <= prime**spec.p:
+    # One y-vector's steps; past the budget the bound below refuses any range,
+    # so prime^p is formed only for p(p+1)/2 * prime <= DEFAULT_BUDGET.
+    vector_steps = spec.matrix_variable_count * prime
+    if vector_steps <= DEFAULT_BUDGET and not 0 <= start <= stop <= prime**spec.p:
         raise ValidationError(
             f"slice [{shown(start)}, {shown(stop)}) out of range for "
             f"{shown(prime)}^{shown(spec.p)} y-vectors"
         )
     work = f"the slice [{shown(start)}, {shown(stop)}) (histogram steps)"
-    require_within(work, max(stop - start, 1) * pair_count * prime, DEFAULT_BUDGET)
+    require_within(work, max(stop - start, 1) * vector_steps, DEFAULT_BUDGET)
+    _require_odd_prime(prime)
     pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
     y_vectors = itertools.islice(
         itertools.product(range(prime), repeat=spec.p), start, stop

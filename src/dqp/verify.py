@@ -21,9 +21,9 @@ configurable scale:
            for every shape that fits the enumeration limit (one count
            per matrix size and prime, at the largest q1 that fits, so
            count_points' own prime^q1 factor is read), target and
-           partition independence, and the counting polynomial
-           interpolated from observed counts against the closed form
-           and the reduced Euler characteristic.
+           partition independence, and the counting polynomial at
+           q1 = 1 interpolated from observed counts against the closed
+           form and the reduced Euler characteristic.
 
 witness-refutation-soundness reads the Newton simplex's certificate for
 each seeded case and trusts neither the simplex nor the curve criterion:
@@ -476,19 +476,19 @@ def ffcount_checks() -> list[Check]:
     poly_bad: list[tuple[int, int]] = []
     for p in (1, 2):
         try:
-            base = ffcount.counting_polynomial(ffcount.NormalFormSpec(p=p))
+            coeffs = ffcount.counting_polynomial(ffcount.NormalFormSpec(p=p, q1=1))
         except CheckError:
             poly_bad.extend([(p, 0), (p, 1)])
             continue
         for q1 in (0, 1):
-            # Unread coordinates are the exact factor t^q1 counting_polynomial applies.
+            # Each unread coordinate is a factor t: the polynomial at q1 = 1
+            # serves every row and tests counting_polynomial's own t^q1.
             spec = ffcount.NormalFormSpec(p=p, q1=q1)
-            coeffs = (0,) * q1 + base
             closed = [0] * spec.n
             closed[spec.n - 1] = 1
             closed[spec.n - p - 1] -= 1
             euler_ok = (
-                coeffs == tuple(closed)
+                coeffs == (0,) * (1 - q1) + tuple(closed)
                 and ffcount.evaluate_polynomial(coeffs, 1) == 0
                 and core.reduced_euler_characteristic(spec.params) == -1
             )

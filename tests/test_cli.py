@@ -715,7 +715,7 @@ def test_count_refusal_never_expands_prime_to_the_n(capsys, argv):
 
 
 def test_count_modulus_beyond_exact_primality_refused(capsys):
-    'the points limit refuses the modulus before primality could be undecided'
+    'the points limit refuses a composite modulus before it is tested for primality'
     prime = 399165290221 * 798330580441
     code, out, err = run(capsys, "count", "--p", "1", "--prime", str(prime))
     assert code == 3

@@ -18,10 +18,17 @@ from dqp.ffcount import (
     count_nonzero_y_slice,
     count_points,
     counting_polynomial,
-    eval_normal_form,
     evaluate_polynomial,
     predicted_count,
 )
+
+
+def eval_normal_form(spec, point, prime):
+    """Reference evaluator: sum_{i<=j} x_{ij} y_i y_j mod prime at one point."""
+    x = iter(point[: spec.matrix_variable_count])
+    y = point[spec.matrix_variable_count + spec.q1 :]
+    pairs = [(i, j) for i in range(spec.p) for j in range(i, spec.p)]
+    return sum(next(x) * y[i] * y[j] for i, j in pairs) % prime
 
 
 def test_spec_layout():
@@ -74,15 +81,6 @@ def test_count_points_matches_enumeration_of_every_point(p, q1, prime):
     )
     for target in range(1, prime):
         assert count_points(spec, prime, target=target).observed_count == values[target]
-
-
-def test_eval_validation():
-    with pytest.raises(ValidationError, match="coordinates"):
-        eval_normal_form(NormalFormSpec(p=1), (1, 1, 1), 3)
-    with pytest.raises(ValidationError, match="odd prime"):
-        eval_normal_form(NormalFormSpec(p=1), (1, 1), 2)
-    with pytest.raises(ValidationError, match="odd prime"):
-        eval_normal_form(NormalFormSpec(p=1), (1, 1), 9)
 
 
 def test_predicted_count_values():
@@ -161,27 +159,30 @@ def test_primality_agrees_with_trial_division():
 
 @pytest.mark.parametrize(
     "composite",
-    [561, 41041, 3215031751, 3825123056546413051],
-    ids=["carmichael-561", "carmichael-41041", "spsp-2-7", "spsp-2-31"],
+    [561, 41041, 2047, 1373653, 25326001],
+    ids=["carmichael-561", "carmichael-41041", "spsp-2", "spsp-2-3", "spsp-2-3-5"],
 )
 def test_primality_rejects_pseudoprimes(composite):
+    'Carmichael numbers and the least strong pseudoprimes to the first prime bases'
     with pytest.raises(ValidationError, match="odd prime"):
         ffcount._require_odd_prime(composite)
 
 
 def test_primality_accepts_large_primes():
-    ffcount._require_odd_prime(1000000000039)
-    ffcount._require_odd_prime(100000000000031)
+    'the largest prime the counter limit admits, and the least one it refuses'
+    ffcount._require_odd_prime(99999989)
+    with pytest.raises(BudgetError, match="the modulus") as info:
+        ffcount._require_odd_prime(100000007)
+    assert info.value.required == 100000007
 
 
-def test_primality_refused_where_it_would_be_probabilistic():
-    'the least composite that passes all 12 bases is refused, not accepted'
-    spsp = 399165290221 * 798330580441
-    assert spsp == ffcount._MR_EXACT_BELOW
-    with pytest.raises(BudgetError, match="primality"):
-        ffcount._require_odd_prime(spsp)
-    with pytest.raises(BudgetError):
-        predicted_count(NormalFormSpec(p=1), 10**30 + 57)
+def test_a_composite_slice_past_its_steps_is_refused_before_primality():
+    'the steps limit, at least the modulus, is met before the primality test'
+    with pytest.raises(BudgetError) as info:
+        count_nonzero_y_slice(NormalFormSpec(2), 100001, 1, 1, 1000)
+    assert info.value.required == 999 * 3 * 100001
+    with pytest.raises(ValidationError, match="odd prime"):
+        count_nonzero_y_slice(NormalFormSpec(2), 100001, 1, 1, 2)
 
 
 def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):

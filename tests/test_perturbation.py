@@ -48,8 +48,6 @@ NEVER_PERTURBED = {
     "integral_closure.require_newton_tableau": "a size check: returns None",
     "integral_closure.default_witnesses": "no command calls it: only "
     "perfbench's span targets name it (item 6 deletes it)",
-    "ffcount.eval_normal_form": "verify never calls it: it reads one point, "
-    "and the tests compare it with the counter",
 }
 
 
