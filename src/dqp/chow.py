@@ -23,8 +23,10 @@ system whose (n + 1) * (n + m) cell updates exceed RING_CELL_LIMIT.
 
 A class is its bidegree, the plain pair (a, b), as in
 ``BidegreeSystem(1, 1, ((1, 1), (1, 1)))``; ``BidegreeSystem`` validates
-every class once, on construction.  Coefficients are arbitrary-precision
-integers throughout.
+every class once, on construction.  ``_system`` checks nothing; it builds
+only systems valid by construction: the Lê systems of :mod:`dqp.le_engine`,
+after its own checks, and the seeded systems of :mod:`dqp.verify`.
+Coefficients are arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ class BidegreeSystem:
                     f"not both 0 (got {shown(cls)})"
                 )
         object.__setattr__(self, "classes", classes)
+
+
+def _system(n: int, m: int, classes: tuple[tuple[int, int], ...]) -> BidegreeSystem:
+    """BidegreeSystem(n, m, classes) without its checks, for a valid class tuple."""
+    system = object.__new__(BidegreeSystem)
+    vars(system).update(ambient_n=n, ambient_m=m, classes=classes)
+    return system
 
 
 def intersection_number_ring(system: BidegreeSystem) -> int:

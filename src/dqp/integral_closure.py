@@ -105,20 +105,12 @@ class MonomialIdeal:
             raise ValidationError("a monomial ideal needs at least one generator")
         for g in generators:
             self._check_dimension(g)
-        # A proper divisor is lexicographically smaller, so in ascending
-        # order each generator need only meet the minimal ones before it.
-        minimal: list[tuple[int, ...]] = []
-        for e in sorted(set(generators)):
-            if not any(all(map(le, h, e)) for h in minimal):
-                minimal.append(e)
-        # Descending lexicographic order puts y1-heavy generators first,
-        # matching the usual way these ideals are written.
-        object.__setattr__(self, "generators", tuple(reversed(minimal)))
+        object.__setattr__(self, "generators", _minimal(generators))
 
     def contains_monomial(self, m: tuple[int, ...]) -> bool:
         """Plain ideal membership: some generator divides m."""
         self._check_dimension(m)
-        return any(all(map(le, g, m)) for g in self.generators)
+        return _divides(self.generators, m)
 
     def _check_dimension(self, m: tuple[int, ...]) -> None:
         """Refuse anything but a tuple of variable_count nonnegative ints."""
@@ -128,6 +120,31 @@ class MonomialIdeal:
                 f"a monomial here is a tuple of {shown(n)} nonnegative ints "
                 f"(got {shown(m)})"
             )
+
+
+def _ideal(n: int, generators) -> MonomialIdeal:
+    """MonomialIdeal(n, generators) without its checks, for valid generators."""
+    ideal = object.__new__(MonomialIdeal)
+    vars(ideal).update(variable_count=n, generators=_minimal(generators))
+    return ideal
+
+
+def _minimal(generators) -> tuple[tuple[int, ...], ...]:
+    """The generators no other one divides, in descending lexicographic order."""
+    # A proper divisor is lexicographically smaller, so in ascending
+    # order each generator need only meet the minimal ones before it.
+    minimal: list[tuple[int, ...]] = []
+    for e in sorted(set(generators)):
+        if not _divides(minimal, e):
+            minimal.append(e)
+    # Descending lexicographic order puts y1-heavy generators first,
+    # matching the usual way these ideals are written.
+    return tuple(reversed(minimal))
+
+
+def _divides(generators, m: tuple[int, ...]) -> bool:
+    """Some generator divides m, all of one length; checks nothing."""
+    return any(all(map(le, g, m)) for g in generators)
 
 
 def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
@@ -146,7 +163,7 @@ def power_ideal(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
         tuple(map(sum, zip(*combo)))
         for combo in itertools.combinations_with_replacement(ideal.generators, e)
     )
-    return MonomialIdeal(ideal.variable_count, tuple(products))
+    return _ideal(ideal.variable_count, products)
 
 
 def require_newton_tableau(variable_count: int, generator_count: int) -> None:
@@ -470,8 +487,8 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
     0 <= 0, so dropping both keeps the answer exact.  The tableau budget,
     on the full (n + 1)(g + n + 1) rule, is checked once, before any
     generator, so an oversized sub is refused whichever generators skip the
-    simplex; full's generators were validated when full was built, so they
-    go to the simplex unchecked.
+    simplex; both ideals' generators were validated when they were built,
+    so the divisibility tests and the simplex take them unchecked.
     """
     if sub.variable_count != full.variable_count:
         raise ValidationError(
@@ -479,9 +496,10 @@ def is_reduction(sub: MonomialIdeal, full: MonomialIdeal) -> bool:
             f"{shown(full.variable_count)} variables"
         )
     require_newton_tableau(sub.variable_count, len(sub.generators))
-    if not all(full.contains_monomial(g) for g in sub.generators):
+    small = sub.generators
+    if not all(_divides(full.generators, g) for g in small):
         return False
     return all(
-        sub.contains_monomial(g) or _simplex_feasible(*_on_support(sub.generators, g))[0]
+        _divides(small, g) or _simplex_feasible(*_on_support(small, g))[0]
         for g in full.generators
     )

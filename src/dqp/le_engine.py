@@ -68,7 +68,7 @@ def build_le_system(p: int, i: int) -> BidegreeSystem:
     ambient_m = p - 1
     hyperplanes = p * (p + 1) // 2 - i - 1
     classes = ((1, 1),) * p + ((0, 2),) * (i - 1) + ((1, 0),) * hyperplanes
-    return BidegreeSystem(ambient_n=ambient_n, ambient_m=ambient_m, classes=classes)
+    return chow._system(ambient_n, ambient_m, classes)
 
 
 def require_le_systems(p: int, systems: int) -> None:

@@ -35,6 +35,12 @@ runs the simplex only for the generators of the larger ideal that the
 smaller one does not already contain, since an ideal lies in its own
 integral closure.
 
+Systems and ideals are built by the unchecked ``chow._system`` and
+``integral_closure._ideal``, since each is valid by construction: every
+class drawn has entries 0..3, never both 0, n + m of them, and every
+generator is an exponent tuple of its ideal's variable count, drawn or
+taken from an ideal already built.  The routes compared still validate.
+
 All randomness is derived from a per-case string seed.  `_cases` is the
 one place that derives case c's random stream from (seed, tag, c), so a
 fixed seed gives a bit-identical report; `_randint` draws exactly what
@@ -208,9 +214,7 @@ def _random_system(rng: random.Random, max_total: int = 10) -> chow.BidegreeSyst
         if a == 0 and b == 0:
             a = _randint(rng, 1, 3)
         classes.append((a, b))
-    return chow.BidegreeSystem(
-        ambient_n=ambient_n, ambient_m=total - ambient_n, classes=tuple(classes)
-    )
+    return chow._system(ambient_n, total - ambient_n, tuple(classes))
 
 
 def chow_checks(seed: int | str = 0) -> list[Check]:
@@ -228,7 +232,7 @@ def chow_checks(seed: int | str = 0) -> list[Check]:
         shuffled = list(system.classes)
         rng.shuffle(shuffled)
         n, m = system.ambient_n, system.ambient_m
-        return ring(system) != ring(chow.BidegreeSystem(n, m, tuple(shuffled)))
+        return ring(system) != ring(chow._system(n, m, tuple(shuffled)))
 
     def split_breaks(rng: random.Random) -> bool:
         system = _random_system(rng)
@@ -237,7 +241,7 @@ def chow_checks(seed: int | str = 0) -> list[Check]:
         n, m, rest = system.ambient_n, system.ambient_m, system.classes[1:]
 
         def number(first: tuple[int, int]) -> int:
-            return ring(chow.BidegreeSystem(n, m, (first,) + rest))
+            return ring(chow._system(n, m, (first,) + rest))
 
         return number((a, 0)) + number((0, b)) != number((a, b))
 
@@ -252,7 +256,7 @@ def chow_checks(seed: int | str = 0) -> list[Check]:
             if a == 0 and b == 0:
                 a = 1
             classes.append((a, b))
-        system = chow.BidegreeSystem(ambient_n, ambient_m, tuple(classes))
+        system = chow._system(ambient_n, ambient_m, tuple(classes))
         return ring(system) != 0 or fulton(system) != 0
 
     cases = 200
@@ -305,7 +309,7 @@ def _random_ideal(rng: random.Random) -> integral_closure.MonomialIdeal:
     nvars = _randint(rng, 1, 4)
     count = _randint(rng, 1, 5)
     gens = tuple(_random_monomial(rng, nvars, 5) for _ in range(count))
-    return integral_closure.MonomialIdeal(nvars, gens)
+    return integral_closure._ideal(nvars, gens)
 
 
 def _square_reduction_pair(
@@ -313,7 +317,7 @@ def _square_reduction_pair(
 ) -> tuple[integral_closure.MonomialIdeal, integral_closure.MonomialIdeal]:
     def diagonal(e: int) -> integral_closure.MonomialIdeal:
         units = (tuple(e * int(i == j) for j in range(p)) for i in range(p))
-        return integral_closure.MonomialIdeal(p, tuple(units))
+        return integral_closure._ideal(p, units)
 
     return diagonal(2), integral_closure.power_ideal(diagonal(1), 2)
 
@@ -369,9 +373,7 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
             _random_monomial(rng, ideal.variable_count, 5)
             for _ in range(_randint(rng, 1, 3))
         )
-        larger = integral_closure.MonomialIdeal(
-            ideal.variable_count, ideal.generators + extra
-        )
+        larger = integral_closure._ideal(ideal.variable_count, ideal.generators + extra)
         return not newton(larger, m)
 
     half = cases // 2
@@ -386,7 +388,7 @@ def closure_checks(seed: int | str = 0) -> list[Check]:
         whole = is_reduction(squares, squared)
         for c, rng in _cases(seed, f"closure-trans:{p}", 5):
             picked = tuple(g for g in squared.generators if rng.random() < 0.5)
-            middle = integral_closure.MonomialIdeal(p, squares.generators + picked)
+            middle = integral_closure._ideal(p, squares.generators + picked)
             legs = is_reduction(squares, middle) and is_reduction(middle, squared)
             if not (legs and whole):
                 trans_bad.append((p, c))

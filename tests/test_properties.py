@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dqp import integral_closure  # noqa: E402
 from dqp.chow import BidegreeSystem, intersection_number_ring  # noqa: E402
 from dqp.cli import (  # noqa: E402
     _monomial_string,
@@ -249,3 +250,21 @@ def test_ideal_minimalization_is_a_canonical_antichain(case, rng):
     assert not any(a != b and _divides(a, b) for a in kept for b in kept)
     assert all(ideal.contains_monomial(g) for g in noisy)
     assert ideal.contains_monomial(candidate) == any(_divides(g, candidate) for g in gens)
+
+
+@SMALL
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=6),
+            st.tuples(*[st.integers(0, 5)] * n),
+        )
+    )
+)
+def test_unchecked_ideal_and_divisibility_match_the_checked_path(case):
+    'the unchecked constructor minimalizes and orders as the public one, from one pass'
+    gens, m = case
+    n = len(m)
+    ideal = MonomialIdeal(n, tuple(gens))
+    assert integral_closure._ideal(n, iter(gens)) == ideal
+    assert integral_closure._divides(ideal.generators, m) == ideal.contains_monomial(m)

@@ -263,6 +263,48 @@ def test_run_verify_validation():
         run_verify(pmax=1)
 
 
+def _unchecked_builds(monkeypatch) -> list:
+    'wrap chow._system and integral_closure._ideal: (public class, args, value) per call'
+    builds = []
+    for module, name, public in (
+        (chow, "_system", chow.BidegreeSystem),
+        (integral_closure, "_ideal", integral_closure.MonomialIdeal),
+    ):
+
+        def wrapper(*args, unchecked=getattr(module, name), public=public):
+            args = (*args[:-1], tuple(args[-1]))  # power_ideal passes a generator
+            value = unchecked(*args)
+            builds.append((public, args, value))
+            return value
+
+        monkeypatch.setattr(module, name, wrapper)
+    return builds
+
+
+def _assert_built_as_checked(builds) -> None:
+    for public, args, value in builds:
+        assert vars(value) == vars(public(*args)), f"{public.__name__}{args}"
+
+
+@pytest.mark.parametrize("pmax", [4, 8])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_verify_builds_unchecked_what_the_constructors_would(monkeypatch, pmax, seed):
+    builds = _unchecked_builds(monkeypatch)
+    run_verify("all", pmax, seed)
+    kinds = {public for public, _, _ in builds}
+    assert kinds == {chow.BidegreeSystem, integral_closure.MonomialIdeal}
+    _assert_built_as_checked(builds)
+
+
+def test_le_systems_build_unchecked_what_the_constructor_would(monkeypatch):
+    builds = _unchecked_builds(monkeypatch)
+    for p in range(2, 13):
+        for i in range(1, p + 1):
+            le_engine.build_le_system(p, i)
+    assert len(builds) == sum(range(2, 13))
+    _assert_built_as_checked(builds)
+
+
 # Fail details of each seeded check, seed 0, under a one-sided mutation that
 # fails some drawn cases and not others: the ids pin which cases are drawn.
 @pytest.mark.parametrize(
