@@ -7,7 +7,8 @@ n + m such hypersurfaces is the coefficient of h^n k^m in the product of
 their classes.  Two independent algorithms compute it:
 
 * ``intersection_number_ring`` multiplies the classes one at a time into
-  a truncated coefficient array, O(n+1) per class;
+  a truncated coefficient array; each class updates only the at most
+  min(n, m) + 1 cells that can still reach h^n k^m;
 * ``intersection_number_fulton`` sums, over all splittings of the class
   list into an n-subset of a-factors and the complementary m-subset of
   b-factors, the product a_{i_1}..a_{i_n} * b_{j_1}..b_{j_m}.  It walks
@@ -19,7 +20,8 @@ The two must agree on every input; the verification suite cross-checks
 them on a seeded random corpus.  The subset sum is exponential in n + m,
 so it refuses systems with more than FULTON_SUBSET_LIMIT classes; larger
 systems use the ring route only.  The ring route in turn refuses a
-system whose (n + 1) * (n + m) cell updates exceed RING_CELL_LIMIT.
+system whose (n + 1) * (n + m) triangle of cells exceeds RING_CELL_LIMIT:
+an upper bound on the band it updates.
 
 A class is its bidegree, the plain pair (a, b), as in
 ``BidegreeSystem(1, 1, ((1, 1), (1, 1)))``; ``BidegreeSystem`` validates
@@ -49,8 +51,12 @@ __all__ = [
 # the ring route runs.
 FULTON_SUBSET_LIMIT = 24
 
-# The p = 200 Lê system (4*10^8 cells) took 15.7 s; under this limit a Lê
-# system takes <= 0.3 s, and classes with huge coefficients up to ~4 s.
+# The budget counts the (n + 1)(n + m) triangle, an upper bound on the band
+# the ring product updates.  In process on a 2-core VM, the p = 200 Lê system
+# (4*10^8 triangle cells, 4*10^6 in its band) took ~0.5 s; under this limit a
+# Lê system takes <= 0.03 s, but classes whose coefficients grow to thousands
+# of digits take seconds: 4000 classes (3,3) on P^2499 x P^1501 ~3 s, and
+# 10^4 of them on P^999 x P^9001 ~12 s.
 RING_CELL_LIMIT = 10**7
 
 
@@ -98,22 +104,26 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
     """Coefficient of h^n k^m in the truncated product of the classes.
 
     A product of j classes is homogeneous of degree j, so after j
-    factors ``coeffs[u]`` holds the coefficient of h^u k^(j-u); terms
-    with j - u > m are truncated to zero.  Each class multiplies in
-    place, walking u downwards so every entry reads its neighbour before
-    it is overwritten.
+    factors ``coeffs[u + 1]`` holds the coefficient of h^u k^(j-u);
+    ``coeffs[0]`` is a zero that cell u = 0 reads as its neighbour.
+    Terms with j - u > m are truncated to zero, so only the band
+    max(0, j - m) <= u <= min(j, n) can still reach h^n k^m.  Each class
+    updates that band in place, walking u downwards so every entry reads
+    its neighbour before it is overwritten, then zeroes cell j - m - 1,
+    which has just left the band (while j <= m, the zero at ``coeffs[0]``).
+    That is at most (min(n, m) + 1) * (n + m) cell updates; the budget
+    still counts the (n + 1) * (n + m) triangle, an upper bound on the band.
     """
     n, m = system.ambient_n, system.ambient_m
     work = f"the ring product of {len(system.classes)} classes (cell updates)"
     require_within(work, (n + 1) * len(system.classes), RING_CELL_LIMIT)
-    coeffs = [1] + [0] * n
+    coeffs = [0, 1] + [0] * n
     for j, (a, b) in enumerate(system.classes, 1):
-        for u in range(min(j, n), -1, -1):
-            if j - u > m:
-                coeffs[u] = 0
-            else:
-                coeffs[u] = b * coeffs[u] + (a * coeffs[u - 1] if u else 0)
-    return coeffs[n]
+        low = j - m if j > m else 0  # cheaper than max() and min() calls
+        for i in range((j if j < n else n) + 1, low, -1):
+            coeffs[i] = b * coeffs[i] + a * coeffs[i - 1]
+        coeffs[low] = 0
+    return coeffs[n + 1]
 
 
 def intersection_number_fulton(system: BidegreeSystem) -> int:

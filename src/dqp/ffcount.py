@@ -305,7 +305,8 @@ def count_points(
     require_within(work, enumerated, DEFAULT_BUDGET)
     _require_odd_prime(prime)
     total_y = prime**spec.p
-    workers = min(jobs, total_y, os.cpu_count() or 1)
+    # os.cpu_count() reads the system on every call: one job needs no count.
+    workers = 1 if jobs == 1 else min(jobs, total_y, os.cpu_count() or 1)
     if workers == 1:
         base = count_nonzero_y_slice(spec, prime, target, 0, total_y)
     else:

@@ -75,7 +75,9 @@ def require_le_systems(p: int, systems: int) -> None:
     """Refuse `systems` ring products of Lê systems of size p past RING_CELL_LIMIT.
 
     Every system of build_le_system(p, i) has n + 1 = p(p+1)/2 cells and
-    n + m = p(p+1)/2 + p - 2 classes, whatever i is.
+    n + m = p(p+1)/2 + p - 2 classes, whatever i is.  The ring product
+    updates at most m + 1 = p of the cells per class; like
+    RING_CELL_LIMIT's own check, this one counts all n + 1, an upper bound.
     """
     require_int("p", p, 2)
     half = p * (p + 1) // 2

@@ -12,6 +12,7 @@ from dqp.chow import (
     intersection_number_ring,
 )
 from dqp.errors import BudgetError, ValidationError
+from dqp.le_engine import build_le_system
 from dqp.verify import _random_system
 
 
@@ -181,3 +182,78 @@ def test_fulton_refuses_25_classes_for_every_n():
         with pytest.raises(BudgetError) as info:
             intersection_number_fulton(system(n, 25 - n, [(1, 1)] * 25))
         assert info.value.required == 25
+
+
+def _triangle_ring(s):
+    'the ring product that visits every cell u <= min(j, n), zeroing the truncated ones'
+    n, m = s.ambient_n, s.ambient_m
+    coeffs = [1] + [0] * n
+    for j, (a, b) in enumerate(s.classes, 1):
+        for u in range(min(j, n), -1, -1):
+            if j - u > m:
+                coeffs[u] = 0
+            else:
+                coeffs[u] = b * coeffs[u] + (a * coeffs[u - 1] if u else 0)
+    return coeffs[n]
+
+
+def test_ring_band_matches_the_full_triangle():
+    rng = random.Random("test:ring-triangle")
+    shapes = {"n=0": 0, "m=0": 0, "zero entry": 0}
+    for _ in range(600):
+        total = rng.randint(0, 14)
+        n = rng.randint(0, total)
+        pairs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(total)]
+        s = system(n, total - n, [pair if any(pair) else (0, 1) for pair in pairs])
+        assert intersection_number_ring(s) == _triangle_ring(s), s
+        shapes["n=0"] += n == 0
+        shapes["m=0"] += n == total
+        shapes["zero entry"] += any(0 in pair for pair in s.classes)
+    assert min(shapes.values()) > 40, shapes
+    for p in range(2, 13):
+        for i in range(1, p + 1):
+            s = build_le_system(p, i)
+            assert intersection_number_ring(s) == _triangle_ring(s), (p, i)
+
+
+class _Entry(int):
+    'a class entry that counts the products it takes part in'
+
+    products = 0
+
+    def __mul__(self, other):
+        _Entry.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def _skewed_systems():
+    rng = random.Random("test:ring-band")
+    for n, m in ((40, 3), (3, 40), (25, 0), (0, 25)):
+        classes = [(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n + m)]
+        yield chow._system(n, m, tuple(classes))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [build_le_system(8, 4), *_skewed_systems()],
+    ids=["le-p8-i4", "n>>m", "n<<m", "m=0", "n=0"],
+)
+def test_ring_updates_only_the_band(monkeypatch, s):
+    'at most (min(n, m) + 1) * (n + m) cells, each visited cell one update'
+    visited = []
+
+    def counting_range(*bounds):
+        cells = range(*bounds)
+        visited.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(chow, "range", counting_range, raising=False)
+    monkeypatch.setattr(_Entry, "products", 0)
+    n, m = s.ambient_n, s.ambient_m
+    counted = chow._system(n, m, tuple((a, _Entry(b)) for a, b in s.classes))
+    assert intersection_number_ring(counted) == _triangle_ring(s)
+    # each live cell multiplies its own coefficient by b once
+    assert _Entry.products == sum(visited)
+    assert sum(visited) <= (min(n, m) + 1) * (n + m)

@@ -204,6 +204,15 @@ def test_jobs_capped_by_y_vectors_and_cores(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_one_job_counts_without_asking_for_the_cores(monkeypatch):
+    def no_core_count():
+        raise AssertionError("jobs=1 asked for the core count")
+
+    monkeypatch.setattr(os, "cpu_count", no_core_count)
+    report = count_points(NormalFormSpec(p=2), 5, jobs=1)
+    assert report.observed_count == predicted_count(NormalFormSpec(p=2), 5) == 600
+
+
 def _finishes(fn, seconds=60):
     'run fn on a daemon thread; a slice left waiting fails the test, not the run'
     outcome = []
