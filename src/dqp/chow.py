@@ -109,10 +109,11 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
     Terms with j - u > m are truncated to zero, so only the band
     max(0, j - m) <= u <= min(j, n) can still reach h^n k^m.  Each class
     updates that band in place, walking u downwards so every entry reads
-    its neighbour before it is overwritten, then zeroes cell j - m - 1,
-    which has just left the band (while j <= m, the zero at ``coeffs[0]``).
-    That is at most (min(n, m) + 1) * (n + m) cell updates; the budget
-    still counts the (n + 1) * (n + m) triangle, an upper bound on the band.
+    its neighbour before it is overwritten.  A cell that has left the
+    band is never read again and keeps its last value, so only in-band
+    cells hold the truncated product.  That is at most
+    (min(n, m) + 1) * (n + m) cell updates; the budget still counts the
+    (n + 1) * (n + m) triangle, an upper bound on the band.
     """
     n, m = system.ambient_n, system.ambient_m
     work = f"the ring product of {len(system.classes)} classes (cell updates)"
@@ -122,7 +123,6 @@ def intersection_number_ring(system: BidegreeSystem) -> int:
         low = j - m if j > m else 0  # cheaper than max() and min() calls
         for i in range((j if j < n else n) + 1, low, -1):
             coeffs[i] = b * coeffs[i] + a * coeffs[i - 1]
-        coeffs[low] = 0
     return coeffs[n + 1]
 
 

@@ -183,14 +183,13 @@ class _SharedForms:
     """The forms of every slice of one count_points call, each solved once.
 
     Each slice, on its own thread, publishes the forms of its y-range and
-    waits for the others; then it solves one contiguous share of their
-    sorted union, and once every share is in, it weights the solutions
-    of its own forms.  A form that occurs in several slices is therefore
-    solved once per call: for p = 1, y and -y share the form (y^2) but
-    fall in different halves of the y-range.  Waiting for the union is
-    also why the slices of one call always overlap in time; they still
-    take turns on the interpreter lock, so they never count faster than
-    one thread.
+    waits for the others; one of them then solves their union in a single
+    _solve_linear_forms call, and each slice weights the solutions of its
+    own forms.  A form that occurs in several slices is therefore solved
+    once per call: for p = 1, y and -y share the form (y^2) but fall in
+    different halves of the y-range.  Waiting for the union is also why
+    the slices of one call always overlap in time; they take turns on the
+    interpreter lock, so they never count faster than one thread.
     """
 
     def __init__(self, parties: int) -> None:
@@ -202,12 +201,9 @@ class _SharedForms:
         self, forms: Counter[tuple[int, ...]], prime: int, target: int
     ) -> dict[tuple[int, ...], int]:
         self._published.append(forms)
-        share = self._barrier.wait()
-        union = sorted(set().union(*self._published))
-        parties = self._barrier.parties
-        lo = len(union) * share // parties
-        hi = len(union) * (share + 1) // parties
-        self._solutions.update(_solve_linear_forms(union[lo:hi], prime, target))
+        if self._barrier.wait() == 0:
+            union = set().union(*self._published)
+            self._solutions = _solve_linear_forms(union, prime, target)
         self._barrier.wait()
         return self._solutions
 
@@ -291,9 +287,9 @@ def count_points(
     threads, at most one per y-vector and per core; integer addition of
     disjoint slice counts makes the result independent of the partition
     and the scheduling.
-    The slices share their forms (see _SharedForms), so they do the work
-    of one slice, but the counter holds the interpreter lock: jobs > 1 is
-    never faster than jobs = 1.
+    The slices share their forms (see _SharedForms) and solve them in
+    one call, so they do the work of one slice, but the counter holds
+    the interpreter lock: jobs > 1 is never faster than jobs = 1.
     """
     require_int("jobs", jobs, 1)
     require_int("target", target)

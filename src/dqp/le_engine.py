@@ -22,10 +22,11 @@ It also measures the order at the origin of the symmetric determinant,
 the multiplicity of the degenerate-matrix locus, without expanding it:
 on a line t -> t*A through the origin the determinant is a polynomial in
 t of degree at most p, so exact integer determinants at t = 0, ..., p+1
-interpolate it, and its order at t = 0 is the order of the determinant
-along that line.  On a generic line that is the order at the origin.
-A line on which the determinant vanishes identically (det A = 0) is
-redrawn, and the minimum over a few seeded lines is returned.
+interpolate it, through the same Newton kernel that dqp.ffcount's
+counting polynomial uses, and its order at t = 0 is the order of the
+determinant along that line.  On a generic line that is the order at the
+origin.  A line on which the determinant vanishes identically (det A = 0)
+is redrawn, and the minimum over a few seeded lines is returned.
 
 Genericity of the quadrics and hyperplanes is not witnessed: the count
 is a statement about classes, and the class of a generic representative
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import random
 
-from . import chow
+from . import chow, ffcount
 from .chow import BidegreeSystem, intersection_number_ring
 from .errors import require_int, require_within, shown
 
@@ -124,26 +125,6 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
     return sign * m[0][0]
 
 
-def _order_at_zero(values: list[int]) -> int:
-    """Order at 0 of the polynomial taking these values at t = 0, 1, ...
-
-    Forward differences give its Newton form, which Horner's rule expands
-    into monomial coefficients scaled by len(values)!, all integers; the
-    zero polynomial gets len(values).
-    """
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    coeffs, weight = [], 1
-    for k in reversed(range(len(diffs))):
-        # coeffs * (t - k) + Delta^k * N! / k!, N = len(diffs)
-        weight *= k + 1
-        coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-        coeffs[0] += weight * diffs[k]
-    return next((d for d, c in enumerate(coeffs) if c), len(coeffs))
-
-
 def det_multiplicity(p: int) -> int:
     """Order at the origin of the determinant of a symmetric p x p matrix.
 
@@ -151,7 +132,8 @@ def det_multiplicity(p: int) -> int:
     of det(t*A), interpolated from exact determinants at t = 0..p+1.  A
     is an integer symmetric matrix, redrawn while det A = 0; if 100 draws
     are all singular the line reports p + 2, which no determinant of
-    degree p can reach.  A p past DET_P_LIMIT is refused before any draw.
+    degree p can reach, and so does a line whose values fit no integer
+    polynomial.  A p past DET_P_LIMIT is refused before any draw.
     """
     require_int("p", p, 1)
     require_within("det_multiplicity (the matrix size p)", p, DET_P_LIMIT)
@@ -166,5 +148,6 @@ def det_multiplicity(p: int) -> int:
             ]
             if values[1]:
                 break
-        orders.append(_order_at_zero(values))
+        coeffs = ffcount._interpolate(list(range(p + 2)), values) or ()
+        orders.append(next((d for d, c in enumerate(coeffs) if c), p + 2))
     return min(orders)

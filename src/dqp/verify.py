@@ -22,8 +22,8 @@ configurable scale:
            per matrix size and prime, at the largest q1 that fits, so
            count_points' own prime^q1 factor is read), target and
            partition independence, and the counting polynomial at
-           q1 = 1 interpolated from observed counts against the closed
-           form and the reduced Euler characteristic.
+           q1 = 1 interpolated from observed counts against the Milnor
+           sphere dimension and the reduced Euler characteristic.
 
 witness-refutation-soundness reads the Newton simplex's certificate for
 each seeded case and trusts neither the simplex nor the curve criterion:
@@ -484,15 +484,18 @@ def ffcount_checks() -> list[Check]:
             continue
         for q1 in (0, 1):
             # Each unread coordinate is a factor t: the polynomial at q1 = 1
-            # serves every row and tests counting_polynomial's own t^q1.
+            # serves every row and tests counting_polynomial's own t^q1.  The
+            # Milnor fiber {f = 1} retracts to S^d: for k = 0, N(t) is t^(n-1)
+            # + (-1)^d t^(n-1-ceil(d/2)), and N(1) = 1 + χ̃ (Katz's theorem).
             spec = ffcount.NormalFormSpec(p=p, q1=q1)
+            d = core.milnor_sphere_dimension(spec.params)
             closed = [0] * spec.n
             closed[spec.n - 1] = 1
-            closed[spec.n - p - 1] -= 1
+            closed[spec.n - 1 - (d + 1) // 2] += (-1) ** d
+            euler = 1 + core.reduced_euler_characteristic(spec.params)
             euler_ok = (
                 coeffs == (0,) * (1 - q1) + tuple(closed)
-                and ffcount.evaluate_polynomial(coeffs, 1) == 0
-                and core.reduced_euler_characteristic(spec.params) == -1
+                and ffcount.evaluate_polynomial(coeffs, 1) == euler
             )
             if not euler_ok:
                 poly_bad.append((p, q1))

@@ -256,6 +256,28 @@ def test_slices_solve_each_form_once(monkeypatch, p, prime):
         sys.setswitchinterval(switch)
 
 
+@pytest.mark.parametrize("p, prime", [(1, 13), (3, 5)])
+def test_threaded_count_solves_its_forms_in_one_call(monkeypatch, p, prime):
+    'the slices solve the union of their forms in one call, the forms of jobs=1'
+    calls = []
+    solve = ffcount._solve_linear_forms
+
+    def recording(forms, prime, target):
+        calls.append(sorted(forms))
+        return solve(forms, prime, target)
+
+    monkeypatch.setattr(ffcount, "_solve_linear_forms", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    spec = NormalFormSpec(p=p)
+    count_points(spec, prime, jobs=1)
+    (one_job,) = calls
+    for jobs in (2, 8):
+        calls.clear()
+        report = _finishes(lambda: count_points(spec, prime, jobs=jobs))
+        assert report.observed_count == predicted_count(spec, prime)
+        assert calls == [one_job]
+
+
 def test_a_failing_slice_releases_the_others_and_raises_its_error(monkeypatch):
     calls = []
     solve = ffcount._solve_linear_forms

@@ -5,16 +5,17 @@ from math import comb, factorial, prod
 
 import pytest
 
+from dqp import ffcount, le_engine
 from dqp.core import le_numbers, minimal_params, polar_multiplicities_sigma1
 from dqp.errors import ValidationError
 from dqp.le_engine import (
     _bareiss_det,
-    _order_at_zero,
     build_le_system,
     det_multiplicity,
     le_number_via_chow,
     underlying_multiplicity_via_chow,
 )
+from dqp.verify import run_verify
 
 
 def test_build_le_system_classes():
@@ -138,7 +139,7 @@ def test_det_p8_size_degree_and_value():
     assert det == _leibniz_det(matrix) != 0
     on_line = [_bareiss_det([[t * x for x in row] for row in matrix]) for t in range(10)]
     assert on_line == [t**8 * det for t in range(10)]
-    assert _order_at_zero(on_line) == 8
+    assert order_at_zero(on_line) == 8
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -153,13 +154,21 @@ def test_det_matches_sympy(p):
         assert _bareiss_det(matrix) == expected, matrix
 
 
+def order_at_zero(values):
+    'the order at 0 that det_multiplicity reads from the kernel, at t = 0..N-1'
+    coeffs = ffcount._interpolate(list(range(len(values))), values)
+    return next((d for d, c in enumerate(coeffs) if c), len(coeffs))
+
+
 def test_order_at_zero_interpolates_exactly():
     for coeffs in ([5], [0, 0, 3], [0, 0, 0, -7, 2], [1, -1], [0, 0, 0, 0, 0, 9]):
         values = [
             sum(c * t**d for d, c in enumerate(coeffs)) for t in range(len(coeffs) + 1)
         ]
         order = next(d for d, c in enumerate(coeffs) if c)
-        assert _order_at_zero(values) == order
+        nodes = list(range(len(values)))
+        assert ffcount._interpolate(nodes, values) == (*coeffs, 0)
+        assert order_at_zero(values) == order
 
 
 def fraction_order_at_zero(values):
@@ -176,27 +185,35 @@ def fraction_order_at_zero(values):
 
 
 def test_order_at_zero_matches_the_fraction_oracle():
-    'integer polynomials of every order, and arbitrary values whose fit is rational'
+    'integer polynomials of every order, sampled at t = 0..size-1'
     rng = random.Random("test:order-at-zero")
     orders = set()
-    for case in range(600):
+    for _ in range(600):
         size = rng.randint(1, 11)
-        if case % 3:
-            order = rng.randint(0, size)
-            coeffs = [0] * order + [rng.randint(-50, 50) for _ in range(size - order)]
-            values = [sum(c * t**d for d, c in enumerate(coeffs)) for t in range(size)]
-        else:
-            values = [rng.randint(-10**3, 10**3) * rng.randint(0, 1) for _ in range(size)]
+        order = rng.randint(0, size)
+        coeffs = [0] * order + [rng.randint(-50, 50) for _ in range(size - order)]
+        values = [sum(c * t**d for d, c in enumerate(coeffs)) for t in range(size)]
         expected = fraction_order_at_zero(values)
-        assert _order_at_zero(values) == expected, values
+        assert order_at_zero(values) == expected, values
         orders.add(expected)
     assert orders == set(range(12))
 
 
 def test_zero_polynomial_has_no_degree():
-    'no finite order: all-zero values report one more than any degree they fit'
+    'no finite order: all-zero values interpolate to as many zero coefficients'
     for count in range(1, 8):
-        assert _order_at_zero([0] * count) == count
+        assert ffcount._interpolate(list(range(count)), [0] * count) == (0,) * count
+        assert order_at_zero([0] * count) == count
+
+
+def test_values_of_no_integer_polynomial_fail_det_multiplicity(monkeypatch):
+    'a broken determinant reports p + 2, like an all-singular line, and fails the check'
+    # 0 at the origin and 1 off it: through t = 0, 1, 2 that is t(3 - t)/2
+    monkeypatch.setattr(le_engine, "_bareiss_det", lambda m: int(any(map(any, m))))
+    for p in range(1, 6):
+        assert det_multiplicity(p) == p + 2
+    failed = [c.name for c in run_verify("core", 4, 0).checks if not c.passed]
+    assert failed == ["det-multiplicity"]
 
 
 def test_det_multiplicity_values():

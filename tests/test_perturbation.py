@@ -172,12 +172,17 @@ SIDES = [
     ("reduction-transitivity", REDUCTION, TRUE),
     ("observed-equals-predicted", COUNT, ("closed", "ffcount.predicted_count")),
     ("target-independence", COUNT, COUNT),
-    ("counting-polynomial-euler", POLYNOMIAL, ("closed", "t^n - t^(n-p-1)")),
-    ("counting-polynomial-euler", POLYNOMIAL, ("constant", 0)),  # N(1)
+    # the place and sign of N(t)'s lower term
     (
         "counting-polynomial-euler",
+        POLYNOMIAL,
+        ("closed", "core.milnor_sphere_dimension"),
+    ),
+    # N(1) against 1 + χ̃
+    (
+        "counting-polynomial-euler",
+        POLYNOMIAL,
         ("closed", "core.reduced_euler_characteristic"),
-        ("constant", -1),
     ),
     ("partition-independence", SLICE, SLICE),
 ]
@@ -186,9 +191,6 @@ SIDES = [
 # item that adds one.
 UNCHECKED = {
     LE_TOP: "item 1: no Lê system gives λ^q",
-    ("closed", "core.milnor_sphere_dimension"): "item 1: read only through χ̃",
-    ("closed", "core.reduced_euler_characteristic"): "item 1: met only by the "
-    "closed Lê sum and the constant -1",
     ("closed", "core.verify_massey_identity"): "item 1: compares two closed forms",
     ("computed", "le_engine.det_multiplicity"): "item 3: met only by the constant p",
     REDUCTION: "item 11: verify asks only pairs that are reductions, so every "
